@@ -27,8 +27,9 @@
 #                      injected slow-peer tail)
 #   make topk        - top-k pruning lane: the block-max differential
 #                      suite (equivalence, edge cases, unsafe decay,
-#                      paging windows, escape hatches) under -race, plus
-#                      the fuzz seed corpus replayed in -run mode
+#                      paging windows, the exhaustive-merge oracle)
+#                      under -race, plus the fuzz seed corpus replayed
+#                      in -run mode
 #   make bench-topk-report - regenerate BENCH_TOPK.json (block-max top-k
 #                      vs exhaustive merge at k in {1,10,100}; enforces
 #                      the >=5x bar on uniform conjunctions at k=10)
@@ -40,8 +41,8 @@
 #                      mmap vs decode-to-heap at three corpus sizes,
 #                      plus steady-state query latency parity)
 #   make obs         - observability lane: vet + race tests for internal/obs,
-#                      and the API guard (removed Search* variants must not
-#                      reappear on the public facade)
+#                      and the API guard (removed entry points, merge
+#                      switches, and index codecs must not reappear)
 #   make trace-demo  - generate a small corpus and print one traced search
 #                      (the span tree with per-stage durations)
 
@@ -110,20 +111,21 @@ bench:
 # (including the fuzz seed corpus, replayed deterministically in -run
 # mode) and one short benchmark iteration of every merge shape.
 bench-smoke:
-	$(GO) test ./internal/query -run 'TestMerge|TestEngineLegacyMerge|FuzzMergeEquivalence' -count=1
+	$(GO) test ./internal/query -run 'TestMerge|TestEngineQueryMatchesReferenceMerge|FuzzMergeEquivalence' -count=1
 	$(GO) test ./internal/dil -run 'TestCompact|TestCursor|TestDecodeCompact|FuzzDecodeCompact' -count=1
-	$(GO) test . -run '^$$' -bench 'DILMerge' -benchtime 10x
+	$(GO) test ./internal/query -run '^$$' -bench 'DILMerge' -benchtime 10x
 
 bench-merge-report:
-	BENCH_MERGE=1 $(GO) test . -run TestWriteMergeBenchReport -count=1 -v
+	BENCH_MERGE=1 $(GO) test ./internal/query -run TestWriteMergeBenchReport -count=1 -v
 
 # The top-k pruning lane: the block-max merge's differential suite
 # against the exhaustive reference (equivalence over fuzzed shapes,
-# edge cases, unsafe decay, engine paging windows, the exhaustive-merge
-# escape hatch), the sharded paging equivalence, and the fuzz seed
-# corpus replayed deterministically — all under the race detector.
+# edge cases, unsafe decay, engine paging windows, the engine against
+# the unpruned-merge oracle), the sharded paging equivalence, and the
+# fuzz seed corpus replayed deterministically — all under the race
+# detector.
 topk:
-	$(GO) test -race -count=1 ./internal/query -run 'TestTopK|TestEngineExhaustiveMergeParam|TestEnginePagingWindows|FuzzTopKEquivalence'
+	$(GO) test -race -count=1 ./internal/query -run 'TestTopK|TestEngineQueryMatchesExhaustiveMerge|TestEnginePagingWindows|FuzzTopKEquivalence'
 	$(GO) test -race -count=1 ./internal/shard -run 'TestShardedPagingEquivalence'
 
 bench-topk-report:
@@ -196,15 +198,28 @@ obs: api-guard
 	$(GO) vet ./internal/obs/...
 	$(GO) test -race ./internal/obs/...
 
-# The PR-4 consolidation replaced the SearchKeywords /
-# SearchKeywordsContext / SearchKeywordsInfo / SearchTopK family with
-# System.Query, and the top-k PR retired the remaining Search /
-# SearchContext shims; fail if any of them grows back on the public
-# facade.
+# Entry points and switches that were deliberately removed must stay
+# gone: the System.Search* family (replaced by System.Query), the
+# query.Engine.Search* shims (replaced by Engine.Query), the merge
+# escape hatches (the reference merges are test oracles now), and the
+# KV-store DIL codec (XARN1 arenas are the only persisted index).
 api-guard:
 	@if grep -nE 'func \(s \*System\) (Search|SearchContext|SearchKeywords|SearchKeywordsContext|SearchKeywordsInfo|SearchTopK)\(' \
 		internal/core/*.go xontorank.go 2>/dev/null; then \
 		echo "api-guard: removed Search* variant reappeared on the public facade (use Query)"; \
+		exit 1; \
+	fi
+	@if grep -nE 'func \(e \*Engine\) Search' internal/query/*.go; then \
+		echo "api-guard: removed query.Engine.Search* shim reappeared (use Engine.Query)"; \
+		exit 1; \
+	fi
+	@if grep -rnE 'LegacyMerge|ExhaustiveMerge|XONTORANK_MERGE|XONTORANK_TOPK' --include='*.go' --exclude='*_test.go' \
+		cmd internal examples perfbench xontorank.go; then \
+		echo "api-guard: removed merge switch reappeared (the reference merges are test oracles)"; \
+		exit 1; \
+	fi
+	@if grep -nE 'StoreSource|func \(ix \*Index\) SaveTo|func LoadFrom' internal/dil/*.go | grep -v '_test.go:'; then \
+		echo "api-guard: removed KV-store index codec reappeared in internal/dil (XARN1 arenas are the persisted index)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

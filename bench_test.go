@@ -329,3 +329,5 @@ func BenchmarkRankedTopK(b *testing.B) {
 		})
 	}
 }
+
+func round2(f float64) float64 { return float64(int64(f*100)) / 100 }

@@ -173,3 +173,18 @@ func TestWriteTopKBenchReport(t *testing.T) {
 	}
 	t.Logf("wrote BENCH_TOPK.json (%d rows)", len(report.TopK))
 }
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+func compactAll(lists []dil.List) []*dil.CompactList {
+	cls := make([]*dil.CompactList, len(lists))
+	for i, l := range lists {
+		cls[i] = dil.Compact(l)
+	}
+	return cls
+}

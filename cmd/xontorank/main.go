@@ -1,12 +1,14 @@
 // Command xontorank is the command-line interface to the XOntoRank
 // system: generate a synthetic EMR corpus and ontology, build and
-// persist XOnto-DIL indexes, and run ontology-aware keyword searches.
+// persist XOnto-DIL indexes as single-file XARN1 arenas, and run
+// ontology-aware keyword searches.
 //
 // Usage:
 //
 //	xontorank gen    -out data -docs 200 -concepts 2000 -seed 1
-//	xontorank index  -data data -strategy Relationships -store data/index
-//	xontorank search -data data -strategy Relationships -q '"bronchial structure" theophylline' -k 5
+//	xontorank index  -data data -strategy Relationships   # writes data/arena/Relationships.xarn
+//	xontorank index  verify data/arena/Relationships.xarn
+//	xontorank search -data data -strategy Relationships -arena-dir data/arena -q '"bronchial structure" theophylline' -k 5
 //	xontorank stats  -data data
 package main
 
@@ -23,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
-	"repro/internal/store"
 	"repro/internal/xmltree"
 )
 
@@ -57,10 +58,11 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage: xontorank <gen|index|search|stats> [flags]
   gen     generate a synthetic ontology and CDA corpus into a directory
-  index   build the XOnto-DIL index for a strategy and persist it
-          (-arena also writes a memory-mapped single-file arena;
-          "index verify <file.xarn>" checks an arena end to end)
-  search  run a keyword query (quote phrases inside the query string)
+  index   build the XOnto-DIL index for a strategy and write it as the
+          arena file <arena-dir>/<Strategy>.xarn ("index verify
+          <file.xarn>" checks an arena end to end)
+  search  run a keyword query (quote phrases inside the query string);
+          -arena-dir serves the index from a prebuilt arena
   stats   print corpus and ontology statistics
   verify  check corpus/ontology referential integrity`)
 }
@@ -161,7 +163,9 @@ func newSystem(dir, strategy string) (*core.System, error) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Strategy = s
-	return core.New(corpus, ont, cfg), nil
+	// The same collection xontoserve loads (the generated ontology plus
+	// the built-in LOINC fragment), so arenas written here attach there.
+	return core.NewMulti(corpus, ontology.MustCollection(ont, ontology.LOINCFragment()), cfg), nil
 }
 
 func cmdIndex(args []string) error {
@@ -172,14 +176,9 @@ func cmdIndex(args []string) error {
 	fs := flag.NewFlagSet("index", flag.ExitOnError)
 	data := fs.String("data", "data", "data directory written by gen")
 	strategy := fs.String("strategy", "Relationships", "XRANK|Graph|Taxonomy|Relationships")
-	storeDir := fs.String("store", "", "index store directory (default <data>/index)")
-	arenaOut := fs.Bool("arena", false, "also write a single-file memory-mapped arena (xontoserve -mmap-index serves it)")
-	arenaDir := fs.String("arena-dir", "", "arena output directory with -arena (default <data>/arena)")
+	arenaDir := fs.String("arena-dir", "", "arena output directory (default <data>/arena; xontoserve -mmap-index serves it)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *storeDir == "" {
-		*storeDir = filepath.Join(*data, "index")
 	}
 	if *arenaDir == "" {
 		*arenaDir = filepath.Join(*data, "arena")
@@ -188,37 +187,21 @@ func cmdIndex(args []string) error {
 	if err != nil {
 		return err
 	}
-	stats, err := sys.BuildIndex()
+	if err := os.MkdirAll(*arenaDir, 0o755); err != nil {
+		return err
+	}
+	path := arena.FileFor(*arenaDir, sys.Config().Strategy.String())
+	a, err := sys.RebuildArena(path, 1, core.CorpusFingerprint(sys.Corpus()))
 	if err != nil {
-		return err
+		return fmt.Errorf("arena %s: %w", path, err)
 	}
-	st, err := store.Open(*storeDir, store.Options{})
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-	if err := sys.SaveIndex(st); err != nil {
-		return err
-	}
+	defer a.Close()
+	stats := sys.BuildStats()
 	fmt.Printf("indexed %d keywords, %d postings, %.1f KB (full-text %v, ontoscore %v, dil %v)\n",
 		stats.Keywords, stats.TotalPostings, float64(stats.TotalBytes)/1024,
 		stats.FullTextTime, stats.OntoScoreTime, stats.DILTime)
-	if *arenaOut {
-		path := arena.FileFor(*arenaDir, sys.Config().Strategy.String())
-		if err := os.MkdirAll(*arenaDir, 0o755); err != nil {
-			return err
-		}
-		if err := sys.WriteArena(path, 1, core.CorpusFingerprint(sys.Corpus())); err != nil {
-			return err
-		}
-		a, err := arena.Open(path)
-		if err != nil {
-			return fmt.Errorf("arena written but does not open: %w", err)
-		}
-		fmt.Printf("arena %s: %d keywords, %d postings, %d bytes\n",
-			path, a.Len(), a.Postings(), a.MappedBytes())
-		a.Close()
-	}
+	fmt.Printf("arena %s: %d keywords, %d postings, %d bytes\n",
+		path, a.Len(), a.Postings(), a.MappedBytes())
 	return nil
 }
 
@@ -259,7 +242,7 @@ func cmdSearch(args []string) error {
 	fs := flag.NewFlagSet("search", flag.ExitOnError)
 	data := fs.String("data", "data", "data directory written by gen")
 	strategy := fs.String("strategy", "Relationships", "XRANK|Graph|Taxonomy|Relationships")
-	storeDir := fs.String("store", "", "index store directory (optional; searches on demand if absent)")
+	arenaDir := fs.String("arena-dir", "", "directory of arenas written by index (optional; searches on demand if absent)")
 	q := fs.String("q", "", "keyword query; quote phrases with double quotes")
 	k := fs.Int("k", 5, "number of results (0 uses the configured default; capped at 1000)")
 	offset := fs.Int("offset", 0, "ranked results to skip before the k returned ones")
@@ -282,15 +265,16 @@ func cmdSearch(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{})
+	if *arenaDir != "" {
+		// A missing, corrupt, or stale arena is an error: searching on
+		// demand instead would silently answer from a different index.
+		path := arena.FileFor(*arenaDir, sys.Config().Strategy.String())
+		a, err := sys.OpenCompatibleArena(path, core.CorpusFingerprint(sys.Corpus()))
 		if err != nil {
-			return err
+			return fmt.Errorf("search: arena %s: %w", path, err)
 		}
-		defer st.Close()
-		if err := sys.LoadIndex(st); err != nil {
-			return err
-		}
+		defer a.Close()
+		sys.UseArena(a)
 	}
 	resp, err := sys.Query(context.Background(), core.SearchRequest{
 		Query:    *q,

@@ -197,7 +197,7 @@ func newApp(fs *flag.FlagSet, args []string) *app {
 			"when compatible arenas exist, heap fallback otherwise (requires -data)")
 	fs.BoolVar(&a.arenaRebuild, "arena-rebuild", true,
 		"with -mmap-index, rebuild missing or stale arena files at startup, on reload, and after compaction "+
-			"(false: only pre-built files from `xontorank index -arena` are attached)")
+			"(false: only pre-built files from `xontorank index` are attached)")
 	fs.BoolVar(&a.debug, "debug", false, "expose net/http/pprof under /debug/pprof/ (admin use only)")
 	fs.BoolVar(&a.jsonLog, "json-log", false, "emit structured JSON access/degradation logs on stderr (trace-correlated)")
 	fs.IntVar(&a.scfg.CacheCapacity, "cache-size", a.scfg.CacheCapacity, "query result cache capacity (entries)")
@@ -212,10 +212,6 @@ func newApp(fs *flag.FlagSet, args []string) *app {
 		"how long a tripped breaker stays open before probing the ontology path again")
 	fs.IntVar(&a.ccfg.Query.Retry.MaxAttempts, "retry-max", resilience.DefaultMaxAttempts,
 		"ontology-path build attempts (first call included) before a keyword degrades")
-	fs.BoolVar(&a.ccfg.Query.LegacyMerge, "legacy-merge", false,
-		"route DIL merges through the reference implementation instead of the loser-tree fast path (XONTORANK_MERGE=legacy does the same)")
-	fs.BoolVar(&a.ccfg.Query.ExhaustiveMerge, "no-topk-prune", false,
-		"disable block-max top-k pruning: the fast merge scores every posting before ranking (XONTORANK_TOPK=exhaustive does the same)")
 	fs.Parse(args)
 	return a
 }

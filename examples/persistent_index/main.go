@@ -1,9 +1,10 @@
 // Persistent index: the full Figure-8 pipeline with durable storage.
-// The corpus and the XOnto-DILs are persisted into the embedded
-// key-value store; a second, fresh process-like phase reopens the
-// store, reloads the index, answers a query, and resolves the result
-// fragments through the Database Access Module (docstore) — nothing is
-// recomputed.
+// The corpus is persisted into the embedded key-value store (the
+// Database Access Module, docstore) and the XOnto-DILs into one
+// memory-mapped XARN1 arena file; a second, fresh process-like phase
+// reopens the store, maps the arena (its fingerprints must match the
+// reloaded corpus), answers a query, and resolves the result fragments
+// through the docstore — nothing is recomputed.
 package main
 
 import (
@@ -14,6 +15,7 @@ import (
 	"path/filepath"
 
 	xontorank "repro"
+	"repro/internal/arena"
 	"repro/internal/cda"
 	"repro/internal/docstore"
 	"repro/internal/store"
@@ -58,12 +60,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.SaveIndex(kv); err != nil {
+	arenaPath := arena.FileFor(dir, sys.Config().Strategy.String())
+	if err := sys.WriteArena(arenaPath, 1, corpus.Fingerprint()); err != nil {
 		log.Fatal(err)
 	}
 	size, _ := kv.DiskSize()
-	fmt.Printf("phase 1: indexed %d keywords / %d postings; store holds %d keys, %.1f KB on disk\n",
-		stats.Keywords, stats.TotalPostings, kv.Len(), float64(size)/1024)
+	arenaInfo, err := os.Stat(arenaPath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("phase 1: indexed %d keywords / %d postings into %s (%.1f KB); store holds %d keys, %.1f KB on disk\n",
+		stats.Keywords, stats.TotalPostings, filepath.Base(arenaPath), float64(arenaInfo.Size())/1024,
+		kv.Len(), float64(size)/1024)
 	if err := kv.Close(); err != nil {
 		log.Fatal(err)
 	}
@@ -104,9 +112,12 @@ func main() {
 		log.Fatal(err)
 	}
 	sys2 := xontorank.New(corpus2, ont2, xontorank.DefaultConfig())
-	if err := sys2.LoadIndex(kv2); err != nil {
+	idx, err := sys2.OpenCompatibleArena(arenaPath, corpus2.Fingerprint())
+	if err != nil {
 		log.Fatal(err)
 	}
+	defer idx.Close()
+	sys2.UseArena(idx)
 
 	const q = `"bronchial structure" theophylline`
 	results := search(sys2, q, 3)

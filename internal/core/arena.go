@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/arena"
 	"repro/internal/dil"
@@ -9,15 +10,18 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Memory-mapped arena integration: a System can persist its built
-// index as one arena file (WriteArena) and later serve straight off a
-// mapped file (UseArena) — postings stream zero-copy from the page
-// cache, nothing is decoded into heap at load, and cold start costs a
-// superblock parse instead of a full index decode.
+// Index persistence: a System persists its built index as one XARN1
+// arena file (WriteArena, or RebuildArena to build, write, and map in
+// one step) and later serves straight off the mapped file
+// (OpenCompatibleArena, then UseArena) — postings stream zero-copy
+// from the page cache, nothing is decoded into heap at load, and cold
+// start costs a superblock parse instead of a full index decode. The
+// arena is the only persisted index format; the KV store holds
+// documents, ontology scores, and ingest state.
 
 // ArenaSourceCacheSize bounds the per-system cache of lists
-// materialized out of an arena for the merge paths that need heap
-// lists (RDIL, legacy merge, delta overlays).
+// materialized out of an arena for the paths that need heap lists
+// (RDIL and delta overlays).
 const ArenaSourceCacheSize = 256
 
 // CorpusFingerprint is the corpus identity stamped into arena
@@ -26,14 +30,19 @@ const ArenaSourceCacheSize = 256
 func CorpusFingerprint(c *xmltree.Corpus) uint64 { return c.Fingerprint() }
 
 // ConfigFingerprint hashes everything that determines the stored
-// posting scores: the strategy, the index-creation parameters, and the
-// prebuilt vocabulary bound. An arena whose ConfigFP differs was built
-// under different scoring rules and must not be served.
+// posting scores: the strategy, the index-creation parameters, the
+// prebuilt vocabulary bound, and the shape of the ontology collection
+// (an index built over one ontology must not serve a system that also
+// consults a second). An arena whose ConfigFP differs was built under
+// different scoring rules and must not be served.
 func (s *System) ConfigFingerprint() uint64 {
 	desc := fmt.Sprintf("%s|alpha=%v|onto=%+v|text=%+v|hops=%d",
 		s.cfg.Strategy, s.cfg.DIL.Alpha, s.cfg.DIL.Onto, s.cfg.DIL.Text, s.cfg.VocabularyHops)
 	if s.cfg.DIL.ElemRank != nil {
 		desc += fmt.Sprintf("|elemrank=%+v", *s.cfg.DIL.ElemRank)
+	}
+	for _, o := range s.coll.Ontologies() {
+		desc += fmt.Sprintf("|ontology=%q/%d/%d", o.Name, o.Len(), o.NumRelationships())
 	}
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
@@ -84,13 +93,42 @@ func (s *System) ArenaCompatible(a *arena.Arena, globalFP uint64) error {
 	return nil
 }
 
+// OpenCompatibleArena opens the arena file at path and checks its
+// fingerprints against this system (ArenaCompatible); on any failure
+// the mapping is released and the error returned.
+func (s *System) OpenCompatibleArena(path string, globalFP uint64) (*arena.Arena, error) {
+	a, err := arena.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := s.ArenaCompatible(a, globalFP); err != nil {
+		a.Close()
+		return nil, err
+	}
+	return a, nil
+}
+
+// RebuildArena materializes a fresh arena for this system: full index
+// build, atomic single-file write, then map and re-verify the result.
+// The caller owns the returned arena's reference.
+func (s *System) RebuildArena(path string, generation, globalFP uint64) (*arena.Arena, error) {
+	start := time.Now()
+	if _, err := s.BuildIndex(); err != nil {
+		return nil, fmt.Errorf("building index: %w", err)
+	}
+	if err := s.WriteArena(path, generation, globalFP); err != nil {
+		return nil, fmt.Errorf("writing (built in %v): %w", time.Since(start), err)
+	}
+	return s.OpenCompatibleArena(path, globalFP)
+}
+
 // UseArena repoints the system's query engine at a mapped arena: the
 // prebuilt heap index is dropped (freeing its memory) and postings
 // serve zero-copy from the mapping. The caller keeps ownership of the
 // arena's reference and must hold it for the system's serving
 // lifetime. Keywords the arena lacks still resolve through the
-// builder, and merge paths that need heap lists (RDIL, legacy, delta
-// overlays) materialize them through a bounded cache.
+// builder, and the paths that need heap lists (RDIL, delta overlays)
+// materialize them through a bounded cache.
 func (s *System) UseArena(a *arena.Arena) {
 	s.index = dil.NewIndex()
 	s.engine.SetSource(&arenaSource{

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/arena"
+	"repro/internal/ontology"
 	"repro/internal/ontoscore"
 )
 
@@ -143,5 +144,11 @@ func TestArenaCompatibleRejects(t *testing.T) {
 	other := buildSystem(t, ontoscore.StrategyGraph)
 	if err := other.ArenaCompatible(a, fp); err == nil {
 		t.Fatal("wrong strategy accepted")
+	}
+	// Same corpus and strategy, but the system also consults the LOINC
+	// fragment: stored scores would miss its ontology matches.
+	wider := NewMulti(sys.Corpus(), ontology.MustCollection(sys.Ontology(), ontology.LOINCFragment()), sys.Config())
+	if err := wider.ArenaCompatible(a, fp); err == nil {
+		t.Fatal("arena built over a different ontology collection accepted")
 	}
 }

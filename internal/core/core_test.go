@@ -3,14 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/cda"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
-	"repro/internal/store"
 	"repro/internal/xmltree"
 )
 
@@ -119,31 +120,32 @@ func TestSearchConsistentBeforeAndAfterBuild(t *testing.T) {
 	}
 }
 
+// The persisted index round-trips: an arena written by one system
+// and opened by a fresh system over the same corpus serves the same
+// answers.
 func TestSaveLoadIndex(t *testing.T) {
 	s := buildSystem(t, ontoscore.StrategyGraph)
 	if _, err := s.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := s.SaveIndex(st); err != nil {
+	path := arena.FileFor(t.TempDir(), s.Config().Strategy.String())
+	fp := CorpusFingerprint(s.Corpus())
+	if err := s.WriteArena(path, 1, fp); err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := buildSystem(t, ontoscore.StrategyGraph)
-	if err := s2.LoadIndex(st); err != nil {
+	a, err := s2.OpenCompatibleArena(path, fp)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Index().Postings() != s.Index().Postings() {
-		t.Errorf("postings after load: %d vs %d", s2.Index().Postings(), s.Index().Postings())
+	defer a.Close()
+	if got, want := int(a.Postings()), s.Index().Postings(); got != want {
+		t.Errorf("postings after load: %d vs %d", got, want)
 	}
-	ra := searchQ(t, s, "cardiac arrest", 5)
-	rb := searchQ(t, s2, "cardiac arrest", 5)
-	if len(ra) != len(rb) {
-		t.Fatalf("results differ after load: %d vs %d", len(ra), len(rb))
+	s2.UseArena(a)
+	for _, q := range []string{"cardiac arrest", "asthma medications"} {
+		sameResults(t, q, searchQ(t, s, q, 5), searchQ(t, s2, q, 5))
 	}
 }
 
@@ -302,23 +304,58 @@ func TestSearchTopKMatchesSearch(t *testing.T) {
 	}
 }
 
+// Opening a persisted index refuses a corrupt file, a file written
+// for a different corpus (stale), and a missing file — and
+// RebuildArena replaces a refused file with one that opens.
 func TestLoadIndexErrors(t *testing.T) {
 	s := buildSystem(t, ontoscore.StrategyGraph)
-	st, err := store.Open(t.TempDir(), store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	// Corrupt entry under this strategy's prefix.
-	if err := st.Put("dil/Graph/asthma", []byte{0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.LoadIndex(st); err == nil {
-		t.Error("corrupt index loaded")
-	}
 	// Summary before any build omits index stats.
 	if strings.Contains(s.Summary(), "index:") {
 		t.Errorf("summary = %q", s.Summary())
+	}
+	dir := t.TempDir()
+	path := arena.FileFor(dir, s.Config().Strategy.String())
+	fp := CorpusFingerprint(s.Corpus())
+	if _, err := s.OpenCompatibleArena(path, fp); err == nil {
+		t.Fatal("missing arena opened")
+	}
+	a, err := s.RebuildArena(path, 1, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+
+	// Stale: the corpus gained a document after the arena was written.
+	grown := buildSystem(t, ontoscore.StrategyGraph)
+	doc, err := xontorankFigure1(grown.Ontology())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown.AddDocument(doc)
+	if _, err := grown.OpenCompatibleArena(path, CorpusFingerprint(grown.Corpus())); err == nil ||
+		!strings.Contains(err.Error(), "fingerprint") {
+		t.Fatalf("stale arena: err = %v, want a fingerprint error", err)
+	}
+
+	// Corrupt: one flipped byte inside the superblock.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[20] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.OpenCompatibleArena(path, fp); err == nil {
+		t.Fatal("corrupt arena opened")
+	}
+	a, err = s.RebuildArena(path, 2, fp)
+	if err != nil {
+		t.Fatalf("rebuild over a corrupt file: %v", err)
+	}
+	defer a.Close()
+	if a.Generation() != 2 {
+		t.Errorf("rebuilt arena generation = %d, want 2", a.Generation())
 	}
 }
 

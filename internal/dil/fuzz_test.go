@@ -8,35 +8,6 @@ import (
 	"repro/internal/xmltree"
 )
 
-func FuzzDecodeList(f *testing.F) {
-	f.Add([]byte{})
-	sample := List{
-		{ID: xmltree.Dewey{0, 1}, Score: 0.5},
-		{ID: xmltree.Dewey{2}, Score: 1},
-	}
-	f.Add(sample.AppendBinary(nil))
-	f.Add(Compact(sample).AppendBinary(nil))
-	f.Add([]byte{0x01})
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		l, err := DecodeList(buf)
-		if err != nil {
-			return
-		}
-		// Valid decodes must re-encode bit-identically, through the
-		// format the input was in.
-		var got []byte
-		if IsCompactEncoding(buf) {
-			got = Compact(l).AppendBinary(nil)
-		} else {
-			got = l.AppendBinary(nil)
-		}
-		if !bytes.Equal(got, buf) {
-			t.Fatalf("re-encode mismatch: %x vs %x", got, buf)
-		}
-	})
-}
-
 func FuzzDecodeCompact(f *testing.F) {
 	sample := List{
 		{ID: xmltree.Dewey{0, 1}, Score: 0.5},

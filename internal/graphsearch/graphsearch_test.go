@@ -1,6 +1,7 @@
 package graphsearch
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -98,7 +99,11 @@ func TestReferenceEdgeShortensConnection(t *testing.T) {
 	// up (the section or document), hence lower-scored.
 	b := dil.NewBuilder(corpus, ontology.Figure2Fragment(), ontoscore.StrategyNone, dil.DefaultParams())
 	treeEngine := query.NewEngine(dil.NewIndex(), b, query.DefaultParams())
-	treeRes := treeEngine.Search(kws, 1)
+	treeResp, err := treeEngine.Query(context.Background(), query.Request{Keywords: kws, K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	treeRes := treeResp.Results
 	if len(treeRes) == 0 {
 		t.Fatal("tree engine found nothing")
 	}

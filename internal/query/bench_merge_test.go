@@ -1,4 +1,4 @@
-package xontorank
+package query
 
 import (
 	"fmt"
@@ -6,12 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/dil"
-	"repro/internal/query"
 	"repro/internal/xmltree"
 )
 
 // Merge microbenchmarks over synthetic posting lists with controlled
-// shape: the reference sort-merge (legacy), the loser-tree fast path
+// shape: the reference sort-merge (legacy, the test-only runDIL), the
+// loser-tree fast path
 // over plain lists (fast), and the fast path over block-compressed
 // lists with skip entries (compact). The skewed shapes — one rare
 // keyword against common ones — are where document zig-zag skipping
@@ -87,8 +87,8 @@ func BenchmarkDILMerge(b *testing.B) {
 		for _, shape := range []string{"skewed", "uniform"} {
 			lists := mergeWorkload(k, shape == "skewed")
 			cls := compactAll(lists)
-			want := len(query.RunListsLegacy(lists, 0.5))
-			run := func(name string, merge func() []query.Result) {
+			want := len(runDIL(lists, 0.5))
+			run := func(name string, merge func() []Result) {
 				b.Run(fmt.Sprintf("keywords=%d/%s/%s", k, shape, name), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
@@ -98,9 +98,9 @@ func BenchmarkDILMerge(b *testing.B) {
 					}
 				})
 			}
-			run("legacy", func() []query.Result { return query.RunListsLegacy(lists, 0.5) })
-			run("fast", func() []query.Result { return query.RunLists(lists, 0.5, 0) })
-			run("compact", func() []query.Result { return query.RunCompactLists(cls, 0.5, 0) })
+			run("legacy", func() []Result { return runDIL(lists, 0.5) })
+			run("fast", func() []Result { return RunLists(lists, 0.5, 0) })
+			run("compact", func() []Result { return RunCompactLists(cls, 0.5, 0) })
 		}
 	}
 }
@@ -131,7 +131,7 @@ func BenchmarkDILMergeAllocs(b *testing.B) {
 	b.Run("disjoint/fast", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if len(query.RunLists(disjoint, 0.5, 0)) != 0 {
+			if len(RunLists(disjoint, 0.5, 0)) != 0 {
 				b.Fatal("unexpected results")
 			}
 		}
@@ -139,7 +139,7 @@ func BenchmarkDILMergeAllocs(b *testing.B) {
 	b.Run("disjoint/compact", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if len(query.RunCompactLists(cls, 0.5, 0)) != 0 {
+			if len(RunCompactLists(cls, 0.5, 0)) != 0 {
 				b.Fatal("unexpected results")
 			}
 		}
@@ -147,7 +147,7 @@ func BenchmarkDILMergeAllocs(b *testing.B) {
 	b.Run("disjoint/legacy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if len(query.RunListsLegacy(disjoint, 0.5)) != 0 {
+			if len(runDIL(disjoint, 0.5)) != 0 {
 				b.Fatal("unexpected results")
 			}
 		}

@@ -29,7 +29,7 @@ func (b *slowBuilder) BuildKeyword(kw string) dil.List {
 }
 
 // Parallel resolution must return the same results as the sequential
-// baseline did: every keyword's list in its slot, same ranking.
+// baseline: every keyword's list resolved one at a time, then merged.
 func TestSearchContextMatchesSearch(t *testing.T) {
 	e, _ := figure1Setup(t, ontoscore.StrategyGraph)
 	queries := []string{
@@ -39,11 +39,16 @@ func TestSearchContextMatchesSearch(t *testing.T) {
 	}
 	for _, q := range queries {
 		kws := ParseQuery(q)
-		plain := e.Search(kws, 10)
-		ctxed, err := e.SearchContext(context.Background(), kws, 10)
-		if err != nil {
-			t.Fatalf("q %q: %v", q, err)
+		lists := make([]dil.List, len(kws))
+		for i, kw := range kws {
+			r, _, err := e.list(context.Background(), string(kw), nil, true)
+			if err != nil {
+				t.Fatalf("q %q keyword %q: %v", q, kw, err)
+			}
+			lists[i] = r.list
 		}
+		plain := RunLists(lists, DefaultParams().Decay, 10)
+		ctxed := runQuery(t, e, Request{Keywords: kws, K: 10})
 		if len(plain) != len(ctxed) {
 			t.Fatalf("q %q: %d vs %d results", q, len(plain), len(ctxed))
 		}
@@ -60,7 +65,7 @@ func TestSearchContextCanceled(t *testing.T) {
 	e := NewEngine(dil.NewIndex(), b, DefaultParams())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if res, err := e.SearchContext(ctx, ParseQuery("foo bar"), 5); err == nil || res != nil {
+	if res, err := e.Query(ctx, Request{Keywords: ParseQuery("foo bar"), K: 5}); err == nil || res != nil {
 		t.Fatalf("canceled search = (%v, %v), want ctx error", res, err)
 	}
 }
@@ -73,7 +78,7 @@ func TestSearchContextDeadlineAbandonsWait(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := e.SearchContext(ctx, ParseQuery("foo bar"), 5); err != context.DeadlineExceeded {
+	if _, err := e.Query(ctx, Request{Keywords: ParseQuery("foo bar"), K: 5}); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	if time.Since(start) > time.Second {
@@ -82,11 +87,7 @@ func TestSearchContextDeadlineAbandonsWait(t *testing.T) {
 	close(b.gate) // background builds finish and populate the cache
 	deadline := time.Now().Add(time.Second)
 	for {
-		res, err := e.SearchContext(context.Background(), ParseQuery("foo bar"), 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) > 0 {
+		if len(runQuery(t, e, Request{Keywords: ParseQuery("foo bar"), K: 5})) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -107,8 +108,8 @@ func TestEngineConcurrentBuildDedup(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if res, err := e.SearchContext(context.Background(), ParseQuery("foo bar baz"), 5); err != nil || len(res) == 0 {
-				t.Errorf("search = (%v, %v)", res, err)
+			if resp, err := e.Query(context.Background(), Request{Keywords: ParseQuery("foo bar baz"), K: 5}); err != nil || len(resp.Results) == 0 {
+				t.Errorf("search = (%v, %v)", resp, err)
 			}
 		}()
 	}
@@ -132,7 +133,7 @@ func TestEngineKeywordCacheBounded(t *testing.T) {
 	params.CacheSize = 16
 	e := NewEngine(dil.NewIndex(), b, params)
 	for i := 0; i < 200; i++ {
-		e.SearchQuery(fmt.Sprintf("keyword%03d", i), 1)
+		searchQ(t, e, fmt.Sprintf("keyword%03d", i), 1)
 	}
 	m := e.CacheMetrics()
 	if m.Entries > 16 {

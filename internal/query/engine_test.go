@@ -1,18 +1,48 @@
 package query
 
 import (
+	"context"
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/arena"
 	"repro/internal/cda"
 	"repro/internal/dil"
 	"repro/internal/ontology"
 	"repro/internal/ontoscore"
-	"repro/internal/store"
 	"repro/internal/xmltree"
 )
+
+// runQuery runs one request through Engine.Query with the background
+// context; the only possible error is the context's, so any error
+// fails the test.
+func runQuery(t testing.TB, e *Engine, req Request) []Result {
+	t.Helper()
+	resp, err := e.Query(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Results
+}
+
+// searchQ parses a query string and runs it with k.
+func searchQ(t testing.TB, e *Engine, q string, k int) []Result {
+	t.Helper()
+	return runQuery(t, e, Request{Keywords: ParseQuery(q), K: k})
+}
+
+// searchInfo runs one request, returning its results and degradation
+// info (nil and zero on error).
+func searchInfo(ctx context.Context, e *Engine, req Request) ([]Result, Info, error) {
+	resp, err := e.Query(ctx, req)
+	if err != nil {
+		return nil, Info{}, err
+	}
+	return resp.Results, resp.Info, nil
+}
 
 func figure1Setup(t *testing.T, strategy ontoscore.Strategy) (*Engine, *xmltree.Corpus) {
 	t.Helper()
@@ -32,7 +62,7 @@ func figure1Setup(t *testing.T, strategy ontoscore.Strategy) (*Engine, *xmltree.
 // Medications code and the Asthma value.
 func TestFigure4AsthmaMedications(t *testing.T) {
 	e, corpus := figure1Setup(t, ontoscore.StrategyNone)
-	res := e.SearchQuery("asthma medications", 5)
+	res := searchQ(t, e, "asthma medications", 5)
 	if len(res) == 0 {
 		t.Fatal("no results")
 	}
@@ -56,12 +86,12 @@ func TestFigure4AsthmaMedications(t *testing.T) {
 // Theophylline entry.
 func TestIntroExampleBronchialStructure(t *testing.T) {
 	baseline, _ := figure1Setup(t, ontoscore.StrategyNone)
-	if res := baseline.SearchQuery(`"bronchial structure" theophylline`, 5); len(res) != 0 {
+	if res := searchQ(t, baseline, `"bronchial structure" theophylline`, 5); len(res) != 0 {
 		t.Fatalf("baseline returned %d results", len(res))
 	}
 	for _, s := range []ontoscore.Strategy{ontoscore.StrategyGraph, ontoscore.StrategyRelationships} {
 		e, corpus := figure1Setup(t, s)
-		res := e.SearchQuery(`"bronchial structure" theophylline`, 5)
+		res := searchQ(t, e, `"bronchial structure" theophylline`, 5)
 		if len(res) == 0 {
 			t.Fatalf("%v returned no results", s)
 		}
@@ -103,7 +133,7 @@ func TestEngineTopKAndOrdering(t *testing.T) {
 	b := dil.NewBuilder(corpus, ont, ontoscore.StrategyGraph, dil.DefaultParams())
 	e := NewEngine(dil.NewIndex(), b, DefaultParams())
 
-	all := e.SearchQuery("cardiac arrest", 1000)
+	all := searchQ(t, e, "cardiac arrest", 1000)
 	if len(all) == 0 {
 		t.Fatal("no results for common clinical terms")
 	}
@@ -115,7 +145,7 @@ func TestEngineTopKAndOrdering(t *testing.T) {
 			t.Fatal("tie-break not deterministic")
 		}
 	}
-	top3 := e.SearchQuery("cardiac arrest", 3)
+	top3 := searchQ(t, e, "cardiac arrest", 3)
 	if len(top3) > 3 {
 		t.Errorf("k=3 returned %d", len(top3))
 	}
@@ -125,7 +155,7 @@ func TestEngineTopKAndOrdering(t *testing.T) {
 		}
 	}
 	// Default k when k <= 0.
-	def := e.SearchQuery("cardiac arrest", 0)
+	def := searchQ(t, e, "cardiac arrest", 0)
 	if len(def) > DefaultParams().K {
 		t.Errorf("default k exceeded: %d", len(def))
 	}
@@ -133,10 +163,10 @@ func TestEngineTopKAndOrdering(t *testing.T) {
 
 func TestEngineEmptyQueryAndUnknownKeyword(t *testing.T) {
 	e, _ := figure1Setup(t, ontoscore.StrategyGraph)
-	if res := e.Search(nil, 5); res != nil {
+	if res := runQuery(t, e, Request{K: 5}); res != nil {
 		t.Error("empty query returned results")
 	}
-	if res := e.SearchQuery("zzzzz theophylline", 5); len(res) != 0 {
+	if res := searchQ(t, e, "zzzzz theophylline", 5); len(res) != 0 {
 		t.Error("unknown keyword should produce no results")
 	}
 }
@@ -144,8 +174,8 @@ func TestEngineEmptyQueryAndUnknownKeyword(t *testing.T) {
 func TestEngineCachesOnDemandKeywords(t *testing.T) {
 	counting := &countingBuilder{}
 	e := NewEngine(dil.NewIndex(), counting, DefaultParams())
-	e.SearchQuery("foo", 1)
-	e.SearchQuery("foo", 1)
+	searchQ(t, e, "foo", 1)
+	searchQ(t, e, "foo", 1)
 	if counting.calls != 1 {
 		t.Errorf("builder called %d times, want 1 (cached)", counting.calls)
 	}
@@ -250,8 +280,9 @@ func mathAbs(x float64) float64 {
 	return x
 }
 
-// End-to-end over the persistent index: the engine reads lists from the
-// store-backed source and answers identically to the in-memory index.
+// End-to-end over the persisted index: the engine streams lists out
+// of a mapped XARN1 arena and answers identically to the in-memory
+// index.
 func TestEngineOverPersistentIndex(t *testing.T) {
 	ont := ontology.Figure2Fragment()
 	corpus := xmltree.NewCorpus()
@@ -265,21 +296,22 @@ func TestEngineOverPersistentIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kv, err := store.Open(t.TempDir(), store.Options{})
+	path := filepath.Join(t.TempDir(), "Relationships.xarn")
+	if err := arena.Write(path, ix, arena.Meta{Generation: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ar, err := arena.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer kv.Close()
-	if err := ix.SaveTo(kv, "dil/rel"); err != nil {
-		t.Fatal(err)
-	}
-	src := dil.NewStoreSource(kv, "dil/rel", 0)
+	defer ar.Close()
+	src := arenaSource{ar}
 
 	mem := NewEngine(ix, nil, DefaultParams())
 	disk := NewEngine(src, nil, DefaultParams())
 	for _, q := range []string{"asthma medications", "theophylline", "bronchitis albuterol"} {
-		a := mem.SearchQuery(q, 10)
-		c := disk.SearchQuery(q, 10)
+		a := searchQ(t, mem, q, 10)
+		c := searchQ(t, disk, q, 10)
 		if len(a) != len(c) {
 			t.Fatalf("q %q: %d vs %d results", q, len(a), len(c))
 		}
@@ -289,7 +321,20 @@ func TestEngineOverPersistentIndex(t *testing.T) {
 			}
 		}
 	}
-	if src.Err() != nil {
-		t.Errorf("source error: %v", src.Err())
+	if ar.Err() != nil {
+		t.Errorf("arena error: %v", ar.Err())
 	}
+}
+
+// arenaSource serves an arena through the engine's ListSource and
+// CompactSource faces.
+type arenaSource struct{ a *arena.Arena }
+
+func (s arenaSource) Compact(kw string) *dil.CompactList { return s.a.Compact(kw) }
+
+func (s arenaSource) List(kw string) dil.List {
+	if c := s.a.Compact(kw); c != nil {
+		return c.List()
+	}
+	return nil
 }

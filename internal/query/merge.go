@@ -3,7 +3,6 @@ package query
 import (
 	"container/heap"
 	"math"
-	"os"
 	"sync"
 	"sync/atomic"
 
@@ -11,12 +10,12 @@ import (
 	"repro/internal/xmltree"
 )
 
-// The fast DIL merge. Same contract as runDIL (dilalgo.go), different
-// machinery, built for the cache-miss hot path (DESIGN.md §12):
+// The fast DIL merge: the algorithm described in dilalgo.go, built
+// for the cache-miss hot path (DESIGN.md §12):
 //
 //   - The next posting in global Dewey order comes from a loser tree
 //     over per-list cursors: O(log k) comparisons per posting instead
-//     of merger.next()'s O(k) scan.
+//     of a linear scan over the list heads.
 //   - Conjunctive semantics are exploited at document granularity.
 //     Every result lies inside a single document (a result's root path
 //     begins with a document component), so a document missing even
@@ -33,22 +32,10 @@ import (
 //     merges. Steady-state merging allocates only the results it
 //     returns.
 //
-// runDIL remains the reference implementation; TestMergeEquivalence
-// and FuzzMergeEquivalence in merge_test.go hold the two to identical
-// output, and the XONTORANK_MERGE=legacy environment variable (or
-// Params.LegacyMerge) routes production traffic back to it.
-
-// legacyMergeEnv routes every merge through the reference runDIL when
-// the process was started with XONTORANK_MERGE=legacy — the escape
-// hatch if the fast path ever misbehaves in the field.
-var legacyMergeEnv = os.Getenv("XONTORANK_MERGE") == "legacy"
-
-// exhaustiveTopKEnv disables block-max top-k pruning process-wide when
-// the process was started with XONTORANK_TOPK=exhaustive: merges score
-// every aligned document and the top-k is taken by sort+truncate, the
-// pre-pruning behavior. The per-engine equivalent is
-// Params.ExhaustiveMerge; xontoserve exposes it as -no-topk-prune.
-var exhaustiveTopKEnv = os.Getenv("XONTORANK_TOPK") == "exhaustive"
+// It is the only production merge. The reference stack merge and a
+// brute-force evaluation of equation (1) are test oracles
+// (reference_test.go); TestMergeEquivalence, TestTopKEquivalence and
+// their fuzz targets hold this merge to identical output.
 
 // MergeCounters count the work of one fast merge — and, summed into the
 // process-wide totals, back the query_merge_* series on /metrics.
@@ -85,7 +72,7 @@ func MergeCountersSnapshot() MergeCounters {
 }
 
 // fastEntry is one stack element of the pooled merge. Unlike
-// stackEntry, its score/match buffers (including each Match's Dewey
+// the reference merge's stack entries, its score/match buffers (including each Match's Dewey
 // slice) are owned by the entry and reused across pushes; identifiers
 // are copied in and out rather than aliased.
 type fastEntry struct {
@@ -152,7 +139,7 @@ func (m *mergeRun) reset(k, limit int) {
 
 // less orders cursors by current posting: Dewey order, exhausted
 // cursors last, ties by cursor index (the order lists were given in,
-// matching the legacy merger's scan).
+// matching the reference merge's scan).
 func (m *mergeRun) less(a, b int) bool {
 	ca, cb := &m.cursors[a], &m.cursors[b]
 	av, bv := ca.Valid(), cb.Valid()
@@ -270,7 +257,7 @@ func (m *mergeRun) push(comp int32) {
 	m.path = append(m.path, comp)
 }
 
-// pop finalizes the deepest entry exactly as runDIL's pop does: emit
+// pop finalizes the deepest entry exactly as the reference merge does: emit
 // if it is a most-specific cover, then propagate decayed maxima to the
 // parent — copying identifiers into the parent's own buffers.
 func (m *mergeRun) pop(decay float64) {
@@ -332,7 +319,8 @@ func (m *mergeRun) pop(decay float64) {
 	m.path = m.path[:len(m.path)-1]
 }
 
-// apply feeds one posting to the stack (runDIL's loop body).
+// apply feeds one posting to the stack (the reference merge's loop
+// body).
 func (m *mergeRun) apply(id xmltree.Dewey, score float64, kw int, decay float64) {
 	lcp := 0
 	for lcp < len(m.path) && lcp < len(id) && m.path[lcp] == id[lcp] {

@@ -1,12 +1,11 @@
-package xontorank
+package query
 
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
-
-	"repro/internal/query"
 )
 
 // TestWriteMergeBenchReport regenerates BENCH_MERGE.json, the recorded
@@ -14,9 +13,10 @@ import (
 // conjunctions, ~0 allocs/op steady state). Gated so normal test runs
 // stay fast:
 //
-//	BENCH_MERGE=1 go test -run TestWriteMergeBenchReport .
+//	BENCH_MERGE=1 go test -run TestWriteMergeBenchReport ./internal/query
 //
-// or `make bench-merge-report`.
+// or `make bench-merge-report`. The report lands at the repository
+// root, next to the other BENCH files.
 func TestWriteMergeBenchReport(t *testing.T) {
 	if os.Getenv("BENCH_MERGE") == "" {
 		t.Skip("set BENCH_MERGE=1 to regenerate BENCH_MERGE.json")
@@ -50,7 +50,7 @@ func TestWriteMergeBenchReport(t *testing.T) {
 		GoVersion: runtime.Version(),
 	}
 
-	bench := func(merge func() []query.Result, want int) int64 {
+	bench := func(merge func() []Result, want int) int64 {
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if len(merge()) != want {
@@ -65,11 +65,11 @@ func TestWriteMergeBenchReport(t *testing.T) {
 		for _, shape := range []string{"skewed", "uniform"} {
 			lists := mergeWorkload(k, shape == "skewed")
 			cls := compactAll(lists)
-			want := len(query.RunListsLegacy(lists, 0.5))
+			want := len(runDIL(lists, 0.5))
 			r := row{Keywords: k, Shape: shape}
-			r.NsLegacy = bench(func() []query.Result { return query.RunListsLegacy(lists, 0.5) }, want)
-			r.NsFast = bench(func() []query.Result { return query.RunLists(lists, 0.5, 0) }, want)
-			r.NsCompact = bench(func() []query.Result { return query.RunCompactLists(cls, 0.5, 0) }, want)
+			r.NsLegacy = bench(func() []Result { return runDIL(lists, 0.5) }, want)
+			r.NsFast = bench(func() []Result { return RunLists(lists, 0.5, 0) }, want)
+			r.NsCompact = bench(func() []Result { return RunCompactLists(cls, 0.5, 0) }, want)
 			r.SpeedupFast = round2(float64(r.NsLegacy) / float64(r.NsFast))
 			r.SpeedupComp = round2(float64(r.NsLegacy) / float64(r.NsCompact))
 			report.Merge = append(report.Merge, r)
@@ -99,9 +99,9 @@ func TestWriteMergeBenchReport(t *testing.T) {
 		impl  string
 		merge func() int
 	}{
-		{"fast", func() int { return len(query.RunLists(lists, 0.5, 0)) }},
-		{"compact", func() int { return len(query.RunCompactLists(cls, 0.5, 0)) }},
-		{"legacy", func() int { return len(query.RunListsLegacy(lists, 0.5)) }},
+		{"fast", func() int { return len(RunLists(lists, 0.5, 0)) }},
+		{"compact", func() int { return len(RunCompactLists(cls, 0.5, 0)) }},
+		{"legacy", func() int { return len(runDIL(lists, 0.5)) }},
 	} {
 		ar := mk(c.merge)
 		ar.Impl = c.impl
@@ -115,7 +115,7 @@ func TestWriteMergeBenchReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile("BENCH_MERGE.json", append(buf, '\n'), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join("..", "..", "BENCH_MERGE.json"), append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("wrote BENCH_MERGE.json (%d merge rows)", len(report.Merge))

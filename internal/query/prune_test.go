@@ -17,11 +17,9 @@ import (
 // order — over plain and compact lists, with and without score skew.
 
 // topKReference is the trusted answer: the reference merge's full
-// result set, ranked and truncated (rankTruncate is also what the
-// legacy/exhaustive escape hatches run, so this pins all three
-// implementations to one definition of "the top k").
+// result set, ranked and truncated.
 func topKReference(lists []dil.List, decay float64, k int) []Result {
-	return rankTruncate(RunListsLegacy(lists, decay), k)
+	return rankTruncate(runDIL(lists, decay), k)
 }
 
 // genScoredLists is genLists with a controllable per-doc score scale:
@@ -184,40 +182,30 @@ func TestTopKPruneCounters(t *testing.T) {
 	}
 }
 
-// The escape hatches must bypass pruning and still agree: an engine
-// with ExhaustiveMerge set answers byte-identically to the default
-// pruned engine, and its merges report no pruning work.
-func TestEngineExhaustiveMergeParam(t *testing.T) {
+// The pruned engine must agree with the same fast merge run without
+// pruning (limit 0: every aligned document scored, then sorted and
+// truncated), and that exhaustive run must report no pruning work.
+func TestEngineQueryMatchesExhaustiveMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	lists := genScoredLists(rng, 2, 30, 5, 400, true, true)
 	ix := dil.NewIndex()
 	ix.Set("alpha", lists[0])
 	ix.Set("beta", lists[1])
-
-	pruned := NewEngine(ix, nil, DefaultParams())
-	p := DefaultParams()
-	p.ExhaustiveMerge = true
-	exhaustive := NewEngine(ix, nil, p)
+	e := NewEngine(ix, nil, DefaultParams())
 
 	kws := []Keyword{"alpha", "beta"}
+	cls := []*dil.CompactList{ix.Compact("alpha"), ix.Compact("beta")}
 	for _, k := range []int{1, 3, 10} {
 		for _, offset := range []int{0, 2} {
-			req := Request{Keywords: kws, K: k, Offset: offset}
-			pr, err := pruned.Query(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			er, err := exhaustive.Query(context.Background(), req)
-			if err != nil {
-				t.Fatal(err)
-			}
 			tag := fmt.Sprintf("k=%d/offset=%d", k, offset)
-			resultsEqual(t, tag, er.Results, pr.Results)
-			if len(pr.Results) > k {
-				t.Errorf("%s: %d results, want <= %d", tag, len(pr.Results), k)
+			got := runQuery(t, e, Request{Keywords: kws, K: k, Offset: offset})
+			all, mc := runFast(nil, cls, DefaultParams().Decay, 0)
+			if mc.DocsSkipped != 0 || mc.EarlyTerminations != 0 {
+				t.Errorf("%s: exhaustive merge reported pruning work: %+v", tag, mc)
 			}
-			if er.Pruning.DocsSkipped != 0 || er.Pruning.EarlyTerminated {
-				t.Errorf("%s: exhaustive engine reported pruning work: %+v", tag, er.Pruning)
+			resultsEqual(t, tag, page(rankTruncate(all, k+offset), offset), got)
+			if len(got) > k {
+				t.Errorf("%s: %d results, want <= %d", tag, len(got), k)
 			}
 		}
 	}

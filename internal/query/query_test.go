@@ -175,76 +175,6 @@ func TestRunDILMaxAggregationPerKeyword(t *testing.T) {
 	}
 }
 
-// bruteForce recomputes the result set directly from the definition:
-// candidates are all ancestors-or-self of postings; a result covers all
-// keywords with no covering proper descendant; scores follow
-// equations (2)-(4).
-func bruteForce(lists []dil.List, decay float64) map[string]float64 {
-	for _, l := range lists {
-		if len(l) == 0 {
-			return nil
-		}
-	}
-	type cand struct{ id xmltree.Dewey }
-	seen := map[string]cand{}
-	for _, l := range lists {
-		for _, p := range l {
-			for i := 1; i <= len(p.ID); i++ {
-				prefix := p.ID[:i].Clone()
-				seen[prefix.String()] = cand{id: prefix}
-			}
-		}
-	}
-	scores := map[string][]float64{}
-	for key, c := range seen {
-		perKw := make([]float64, len(lists))
-		for k, l := range lists {
-			for _, p := range l {
-				if dist, ok := p.ID.Distance(c.id); ok {
-					s := p.Score * math.Pow(decay, float64(dist))
-					if s > perKw[k] {
-						perKw[k] = s
-					}
-				}
-			}
-		}
-		scores[key] = perKw
-	}
-	covered := func(perKw []float64) bool {
-		for _, s := range perKw {
-			if s <= 0 {
-				return false
-			}
-		}
-		return true
-	}
-	out := map[string]float64{}
-	for key, c := range seen {
-		perKw := scores[key]
-		if !covered(perKw) {
-			continue
-		}
-		specific := true
-		for key2, c2 := range seen {
-			if key2 == key {
-				continue
-			}
-			if c.id.IsAncestorOf(c2.id) && covered(scores[key2]) {
-				specific = false
-				break
-			}
-		}
-		if specific {
-			total := 0.0
-			for _, s := range perKw {
-				total += s
-			}
-			out[key] = total
-		}
-	}
-	return out
-}
-
 func TestRunDILMatchesBruteForce(t *testing.T) {
 	// Deterministic pseudo-random posting sets across several shapes.
 	shapes := [][][]string{

@@ -57,23 +57,13 @@ func RunHybrid(lists []dil.List, decay float64, k int, switchRatio float64) []Re
 	if switchRatio <= 0 || switchRatio >= 1 {
 		switchRatio = 0.2
 	}
-	res, stats, complete := runRankedBounded(lists, decay, k, switchRatio)
+	res, _, complete := runRankedBounded(lists, decay, k, switchRatio)
 	if complete {
 		return res
 	}
-	_ = stats
-	// Fallback: exhaustive merge.
-	all := runDIL(lists, decay)
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Score != all[j].Score {
-			return all[i].Score > all[j].Score
-		}
-		return all[i].Root.Compare(all[j].Root) < 0
-	})
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all
+	// Fallback: the Dewey-order top-k merge.
+	res, _ = runFast(lists, nil, decay, k)
+	return res
 }
 
 // RunRankedStats is RunRanked, additionally reporting access statistics.

@@ -202,8 +202,8 @@ func TestEngineSearchRankedMatchesSearch(t *testing.T) {
 	for _, q := range []string{"asthma medications", `"bronchial structure" theophylline`, "theophylline"} {
 		kws := ParseQuery(q)
 		for _, k := range []int{1, 3, 10} {
-			want := e.Search(kws, k)
-			got := e.SearchRanked(kws, k)
+			want := runQuery(t, e, Request{Keywords: kws, K: k})
+			got := runQuery(t, e, Request{Keywords: kws, K: k, Ranked: true})
 			if len(want) != len(got) {
 				t.Fatalf("q=%q k=%d: %d vs %d results", q, k, len(want), len(got))
 			}
@@ -214,14 +214,14 @@ func TestEngineSearchRankedMatchesSearch(t *testing.T) {
 			}
 		}
 	}
-	if got := e.SearchRanked(nil, 5); got != nil {
+	if got := runQuery(t, e, Request{K: 5, Ranked: true}); got != nil {
 		t.Error("empty ranked query answered")
 	}
-	if got := e.SearchRanked(ParseQuery("zzznothing"), 5); got != nil {
+	if got := runQuery(t, e, Request{Keywords: ParseQuery("zzznothing"), K: 5, Ranked: true}); got != nil {
 		t.Error("unknown keyword ranked query answered")
 	}
 	// Default k path.
-	if got := e.SearchRanked(ParseQuery("asthma"), 0); len(got) > DefaultParams().K {
+	if got := runQuery(t, e, Request{Keywords: ParseQuery("asthma"), K: 0, Ranked: true}); len(got) > DefaultParams().K {
 		t.Error("default k exceeded")
 	}
 }

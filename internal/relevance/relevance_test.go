@@ -1,6 +1,7 @@
 package relevance
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cda"
@@ -47,7 +48,18 @@ func searchWith(t *testing.T, corpus *xmltree.Corpus, ont *ontology.Ontology, st
 	b := dil.NewBuilder(corpus, ont, strategy, dil.DefaultParams())
 	e := query.NewEngine(dil.NewIndex(), b, query.DefaultParams())
 	kws := query.ParseQuery(q)
-	return kws, e.Search(kws, 5)
+	return kws, engineSearch(t, e, kws, 5)
+}
+
+// engineSearch runs one query through Engine.Query, failing the test
+// on error.
+func engineSearch(t *testing.T, e *query.Engine, kws []query.Keyword, k int) []query.Result {
+	t.Helper()
+	resp, err := e.Query(context.Background(), query.Request{Keywords: kws, K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Results
 }
 
 func TestLiteralMatchesRelevant(t *testing.T) {
@@ -125,7 +137,7 @@ func TestDirectRelationshipRelevant(t *testing.T) {
 	b := dil.NewBuilder(corpus, ont, ontoscore.StrategyRelationships, dil.DefaultParams())
 	e := query.NewEngine(dil.NewIndex(), b, query.DefaultParams())
 	kws := query.ParseQuery(`"bronchial structure" theophylline`)
-	res := e.Search(kws, 5)
+	res := engineSearch(t, e, kws, 5)
 	if len(res) == 0 {
 		t.Fatal("no results")
 	}

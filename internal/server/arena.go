@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/arena"
 	"repro/internal/core"
@@ -112,10 +111,10 @@ func (s *Server) attachArenas(g *generation) {
 	for _, st := range ontoscore.Strategies() {
 		sys := g.systems[st]
 		path := arena.FileFor(s.acfg.Dir, st.String())
-		a, err := openCompatibleArena(sys, path, globalFP)
+		a, err := sys.OpenCompatibleArena(path, globalFP)
 		if err != nil && s.acfg.Rebuild {
 			s.logf("server: arena %s: %v; rebuilding", path, err)
-			a, err = rebuildArena(sys, path, g.num, globalFP)
+			a, err = sys.RebuildArena(path, g.num, globalFP)
 		}
 		if err != nil {
 			s.logf("server: arena %s unavailable, serving %s from heap: %v", path, st, err)
@@ -126,31 +125,4 @@ func (s *Server) attachArenas(g *generation) {
 		s.logf("server: arena %s mapped for %s: %d keywords, %d postings, %d bytes",
 			path, st, a.Len(), a.Postings(), a.MappedBytes())
 	}
-}
-
-// openCompatibleArena opens and fingerprint-checks one arena file; on
-// any failure the mapping is released and the error returned.
-func openCompatibleArena(sys *core.System, path string, globalFP uint64) (*arena.Arena, error) {
-	a, err := arena.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.ArenaCompatible(a, globalFP); err != nil {
-		a.Close()
-		return nil, err
-	}
-	return a, nil
-}
-
-// rebuildArena materializes a fresh arena for one system: full index
-// build, atomic single-file write, then map and re-verify the result.
-func rebuildArena(sys *core.System, path string, generation, globalFP uint64) (*arena.Arena, error) {
-	start := time.Now()
-	if _, err := sys.BuildIndex(); err != nil {
-		return nil, fmt.Errorf("building index: %w", err)
-	}
-	if err := sys.WriteArena(path, generation, globalFP); err != nil {
-		return nil, fmt.Errorf("writing (built in %v): %w", time.Since(start), err)
-	}
-	return openCompatibleArena(sys, path, globalFP)
 }

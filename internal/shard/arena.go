@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"repro/internal/arena"
-	"repro/internal/core"
 	"repro/internal/ontoscore"
 )
 
@@ -88,13 +87,13 @@ func (c *Cluster) wireArenas(gens []*shardGen, globalFP uint64) {
 		for _, st := range ontoscore.Strategies() {
 			sys := g.systems[st]
 			path := arena.FileFor(dir, st.String())
-			a, err := openCompatibleArena(sys, path, globalFP)
+			a, err := sys.OpenCompatibleArena(path, globalFP)
 			if err != nil && c.cfg.ArenaRebuild {
 				// Rebuild with calibration pinned to the incoming
 				// generations, then hand the builder back to the cluster
 				// calibrator for live serving.
 				sys.Builder().SetCalibrator(genCals[st])
-				a, err = rebuildArena(sys, path, g.num, globalFP)
+				a, err = sys.RebuildArena(path, g.num, globalFP)
 				sys.Builder().SetCalibrator(c.calibs[st])
 			}
 			if err != nil {
@@ -126,26 +125,4 @@ func (c *Cluster) MappedArenaBytes() int {
 		g.release()
 	}
 	return total
-}
-
-func openCompatibleArena(sys *core.System, path string, globalFP uint64) (*arena.Arena, error) {
-	a, err := arena.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.ArenaCompatible(a, globalFP); err != nil {
-		a.Close()
-		return nil, err
-	}
-	return a, nil
-}
-
-func rebuildArena(sys *core.System, path string, generation, globalFP uint64) (*arena.Arena, error) {
-	if _, err := sys.BuildIndex(); err != nil {
-		return nil, fmt.Errorf("building index: %w", err)
-	}
-	if err := sys.WriteArena(path, generation, globalFP); err != nil {
-		return nil, err
-	}
-	return openCompatibleArena(sys, path, globalFP)
 }
