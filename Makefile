@@ -9,8 +9,9 @@
 #                      check is enforced by each package's TestMain)
 #   make fuzz-smoke  - ~10s of coverage-guided fuzzing per target
 #   make bench       - serving-layer benchmarks (cache hit/miss, parallel load)
-#   make bench-smoke - short DIL-merge benchmark pass plus the merge
-#                      differential suite (fuzz seeds run in -run mode)
+#   make bench-smoke - short DIL-merge and dirty-overlay keyword-build
+#                      benchmark passes plus the merge and compact-list
+#                      differential suites (fuzz seeds run in -run mode)
 #   make bench-merge-report - regenerate BENCH_MERGE.json (full-length
 #                      merge benchmarks; several minutes)
 #   make shard       - sharded-serving lane: vet + the scatter-gather
@@ -62,7 +63,6 @@ FUZZ_TARGETS = \
 	./internal/xmltree:FuzzParse \
 	./internal/cda:FuzzExtract \
 	./internal/ontology:FuzzLoad \
-	./internal/dil:FuzzDecodeCompact \
 	./internal/arena:FuzzArenaDecode \
 	./internal/query:FuzzMergeEquivalence \
 	./internal/query:FuzzTopKEquivalence
@@ -109,11 +109,14 @@ bench:
 
 # Quick confidence pass over the fast merge: the differential suite
 # (including the fuzz seed corpus, replayed deterministically in -run
-# mode) and one short benchmark iteration of every merge shape.
+# mode), one short benchmark iteration of every merge shape, and a
+# short pass of the dirty-overlay keyword build (live ingest's
+# on-demand path).
 bench-smoke:
 	$(GO) test ./internal/query -run 'TestMerge|TestEngineQueryMatchesReferenceMerge|FuzzMergeEquivalence' -count=1
-	$(GO) test ./internal/dil -run 'TestCompact|TestCursor|TestDecodeCompact|FuzzDecodeCompact' -count=1
+	$(GO) test ./internal/dil -run 'TestCompact|TestCursor|TestSegment|TestBorrowSegment' -count=1
 	$(GO) test ./internal/query -run '^$$' -bench 'DILMerge' -benchtime 10x
+	$(GO) test ./internal/delta -run '^$$' -bench 'BuildKeywordDirty' -benchtime 10x
 
 bench-merge-report:
 	BENCH_MERGE=1 $(GO) test ./internal/query -run TestWriteMergeBenchReport -count=1 -v
@@ -163,14 +166,18 @@ bench-peer-report:
 # The live-ingestion lane: WAL framing and torn-tail recovery,
 # kill-at-every-fsync crash soaks, the base+delta vs full-rebuild
 # differential across all four strategies, the compaction state
-# machine under injected faults, and the HTTP surface (ingest
-# lifecycle, admin gate conflicts, WAL recovery, compaction fold,
-# sharded differential) — all under the race detector.
+# machine under injected faults, the memo-safety suite (per-state
+# keyword norms and OntoScore memos), the sorted-postings invariant of
+# the full-text index the dirty path scores with, and the HTTP surface
+# (ingest lifecycle, admin gate conflicts, WAL recovery, compaction
+# fold, sharded differential, keyword resolution counters) — all under
+# the race detector.
 delta:
 	$(GO) vet ./internal/delta/...
 	$(GO) test -race -count=1 ./internal/delta/...
+	$(GO) test -race -count=1 ./internal/ir -run TestIndexMatchesNaiveReference
 	$(GO) test -race -count=1 ./internal/server -run \
-		'TestLiveIngest|TestIngestValidation|TestAdminGate|TestDeltaWAL|TestCompaction|TestShardedDelta|TestReloadWithPendingWAL'
+		'TestLiveIngest|TestIngestValidation|TestAdminGate|TestDeltaWAL|TestCompaction|TestShardedDelta|TestReloadWithPendingWAL|TestKeywordResolutionCounters'
 
 bench-delta-report:
 	BENCH_DELTA=1 $(GO) test . -run TestWriteDeltaBenchReport -count=1 -v
@@ -201,8 +208,9 @@ obs: api-guard
 # Entry points and switches that were deliberately removed must stay
 # gone: the System.Search* family (replaced by System.Query), the
 # query.Engine.Search* shims (replaced by Engine.Query), the merge
-# escape hatches (the reference merges are test oracles now), and the
-# KV-store DIL codec (XARN1 arenas are the only persisted index).
+# escape hatches (the reference merges are test oracles now), the
+# KV-store DIL codec (XARN1 arenas are the only persisted index), and
+# the XCL1 stream codec (arena segments are the one list encoding).
 api-guard:
 	@if grep -nE 'func \(s \*System\) (Search|SearchContext|SearchKeywords|SearchKeywordsContext|SearchKeywordsInfo|SearchTopK)\(' \
 		internal/core/*.go xontorank.go 2>/dev/null; then \
@@ -220,6 +228,10 @@ api-guard:
 	fi
 	@if grep -nE 'StoreSource|func \(ix \*Index\) SaveTo|func LoadFrom' internal/dil/*.go | grep -v '_test.go:'; then \
 		echo "api-guard: removed KV-store index codec reappeared in internal/dil (XARN1 arenas are the persisted index)"; \
+		exit 1; \
+	fi
+	@if grep -nE 'func \(c \*CompactList\) (AppendBinary|EncodedSize)|func DecodeCompact' internal/dil/*.go; then \
+		echo "api-guard: removed XCL1 stream codec reappeared in internal/dil (arena segments are the one encoding)"; \
 		exit 1; \
 	fi
 	@echo "api-guard: ok"

@@ -104,7 +104,7 @@ func TestWriteArenaBenchReport(t *testing.T) {
 
 		r := row{Docs: docs}
 
-		// Cold start, decode-to-heap: every XCL1 segment of the same
+		// Cold start, decode-to-heap: every list segment of the same
 		// arena is decoded into a heap index before the first query can
 		// run.
 		r.NsHeapLoad = testing.Benchmark(func(b *testing.B) {

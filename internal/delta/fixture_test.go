@@ -18,7 +18,7 @@ type fixture struct {
 	bodies map[string][]byte // serialized XML per name
 }
 
-func newFixture(t *testing.T, docs int, seed int64) *fixture {
+func newFixture(t testing.TB, docs int, seed int64) *fixture {
 	t.Helper()
 	ont, err := ontology.Generate(ontology.GenConfig{Seed: seed, ExtraConcepts: 80, SynonymProb: 0.4})
 	if err != nil {
@@ -46,7 +46,7 @@ func newFixture(t *testing.T, docs int, seed int64) *fixture {
 	return f
 }
 
-func renderDoc(t *testing.T, doc *xmltree.Document) []byte {
+func renderDoc(t testing.TB, doc *xmltree.Document) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := xmltree.WriteXML(&buf, doc.Root); err != nil {
@@ -57,7 +57,7 @@ func renderDoc(t *testing.T, doc *xmltree.Document) []byte {
 
 // baseCorpus parses the first n fixture documents into a corpus, the
 // way a generation build reads them off the source directory.
-func (f *fixture) baseCorpus(t *testing.T, n int) *xmltree.Corpus {
+func (f *fixture) baseCorpus(t testing.TB, n int) *xmltree.Corpus {
 	t.Helper()
 	corpus := xmltree.NewCorpus()
 	for _, name := range f.names[:n] {
@@ -67,7 +67,7 @@ func (f *fixture) baseCorpus(t *testing.T, n int) *xmltree.Corpus {
 }
 
 // parse decodes a body exactly as Segment.Apply does.
-func (f *fixture) parse(t *testing.T, name string, body []byte) *xmltree.Document {
+func (f *fixture) parse(t testing.TB, name string, body []byte) *xmltree.Document {
 	t.Helper()
 	doc, err := xmltree.ParseLimited(bytes.NewReader(body), xmltree.DefaultLimits())
 	if err != nil {

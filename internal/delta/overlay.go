@@ -63,41 +63,78 @@ func (s *Segment) StatsView() ir.StatsView { return liveStatsView{s} }
 // The base builder is read through a provider so generation swaps
 // don't strand the calibrator on a dropped builder.
 func (s *Segment) Calibrator(strategy ontoscore.Strategy, base func() *dil.Builder) dil.Calibrator {
-	return liveCalibrator{seg: s, strategy: strategy, base: base}
+	return liveCalibrator{seg: s, base: base}
 }
 
+// liveCalibrator follows the segment's current state. The divisor does
+// not depend on the strategy (only the text branch of Eq. 5 is
+// normalized), so the builders of every strategy share one per state.
 type liveCalibrator struct {
-	seg      *Segment
-	strategy ontoscore.Strategy
-	base     func() *dil.Builder
+	seg  *Segment
+	base func() *dil.Builder
 }
 
 func (c liveCalibrator) KeywordNorm(keyword string) float64 {
-	st := c.seg.state.Load()
-	return keywordNorm(st, c.strategy, keyword, c.base())
+	return c.seg.keywordNorm(c.seg.state.Load(), keyword, c.base(), nil)
+}
+
+// Pin implements dil.PinningCalibrator: when the pinning builder is the
+// calibration authority itself, its raw pass supplies the base share of
+// the divisor.
+func (c liveCalibrator) Pin(b *dil.Builder) func(string, func(func(int32) bool) float64) float64 {
+	st, base := c.seg.state.Load(), c.base()
+	return func(keyword string, local func(dead func(int32) bool) float64) float64 {
+		if b != base {
+			local = nil // a shard slot's pass covers its partition only
+		}
+		return c.seg.keywordNorm(st, keyword, base, local)
+	}
 }
 
 // stateCalibrator is the pinned variant installed on a state's own
 // delta builders.
 type stateCalibrator struct {
-	s        *segState
-	strategy ontoscore.Strategy
-	base     func() *dil.Builder
+	seg  *Segment
+	s    *segState
+	base func() *dil.Builder
 }
 
 func (c stateCalibrator) KeywordNorm(keyword string) float64 {
-	return keywordNorm(c.s, c.strategy, keyword, c.base())
+	return c.seg.keywordNorm(c.s, keyword, c.base(), nil)
 }
 
-func keywordNorm(st *segState, strategy ontoscore.Strategy, keyword string, base *dil.Builder) float64 {
+// keywordNorm is st's normalization divisor for a keyword: the maximum
+// raw BM25 over the live containing set, base and delta. baseMax, when
+// non-nil, is the base builder's RawTextMaxLive read off a raw pass
+// that began under st.
+//
+// The divisor is memoized on st. That is exact because each divisor
+// belongs to one immutable state, and it is kept only when every input
+// was st's own: base must index st's base corpus (a reload wires the
+// new generation before the generations swap), and st must still be
+// current after the computation — the base builder's statistics view
+// follows the segment's current state, and a state never becomes
+// current again once superseded, so a state current at the end was
+// current throughout.
+func (s *Segment) keywordNorm(st *segState, keyword string, base *dil.Builder, baseMax func(dead func(int32) bool) float64) float64 {
+	if v, ok := st.memo.Norm(keyword); ok {
+		return v
+	}
 	max := 0.0
 	if base != nil {
-		max = base.RawTextMaxLive(keyword, st.isDead)
+		if baseMax != nil {
+			max = baseMax(st.isDead)
+		} else {
+			max = base.RawTextMaxLive(keyword, st.isDead)
+		}
 	}
-	if db := st.builders[strategy]; db != nil {
-		if m := db.RawTextMaxLive(keyword, st.isDead); m > max {
+	if st.text != nil {
+		if m := st.text.RawTextMaxLive(keyword, st.isDead); m > max {
 			max = m
 		}
+	}
+	if (base == nil || base.Corpus() == st.base) && s.state.Load() == st {
+		st.memo.SetNorm(keyword, max)
 	}
 	return max
 }
@@ -112,6 +149,7 @@ func (s *Segment) InstallBase(strategy ontoscore.Strategy, base func() *dil.Buil
 	}
 	b.SetGlobalTextStatsView(s.StatsView())
 	b.SetCalibrator(s.Calibrator(strategy, base))
+	b.SetMemo(func() *dil.Memo { return s.state.Load().memo })
 }
 
 // SetBaseProvider completes the delta builders' calibration: their
@@ -123,9 +161,10 @@ func (s *Segment) SetBaseProvider(base func(strategy ontoscore.Strategy) *dil.Bu
 	s.applyMu.Lock()
 	defer s.applyMu.Unlock()
 	s.baseProvider = base
-	for strat, b := range s.state.Load().builders {
+	st := s.state.Load()
+	for strat, b := range st.builders {
 		strat := strat
-		b.SetCalibrator(stateCalibrator{s: s.state.Load(), strategy: strat, base: func() *dil.Builder { return base(strat) }})
+		b.SetCalibrator(stateCalibrator{seg: s, s: st, base: func() *dil.Builder { return base(strat) }})
 	}
 }
 
@@ -168,12 +207,18 @@ func (v *segView) Dirty() bool {
 
 func (v *segView) Combine(ctx context.Context, keyword string, base dil.List, irOnly bool) (dil.List, bool, error) {
 	st := v.s
-	// Drop tombstoned base postings (copy-on-first-drop).
+	// Drop tombstoned base postings (copy-on-first-drop). A document's
+	// postings are contiguous in Dewey order, so each document is
+	// looked up once.
 	filtered := base
 	dropped := false
 	if len(st.dead) > 0 {
+		doc, dead := int32(-1), false
 		for i, p := range base {
-			if st.dead[p.ID.DocID()] {
+			if d := p.ID.DocID(); d != doc {
+				doc, dead = d, st.dead[d]
+			}
+			if dead {
 				if !dropped {
 					filtered = append(dil.List{}, base[:i]...)
 					dropped = true

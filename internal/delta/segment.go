@@ -78,7 +78,9 @@ func (a *adjustment) add(s ir.Stats, sign int) {
 // consistent state end to end. The delta builders are rebuilt per
 // apply — the delta is small by construction (the compactor folds it
 // into the base before it grows), so the rebuild is O(delta), never
-// O(corpus).
+// O(corpus). Their full-text stage is built once and shared by every
+// strategy's builder, and they borrow the base builders' OntoScore
+// computers rather than indexing the ontologies again.
 type segState struct {
 	version uint64
 	seq     uint64 // last applied WAL sequence
@@ -87,6 +89,10 @@ type segState struct {
 	baseStats ir.Stats
 
 	builders map[ontoscore.Strategy]*dil.Builder
+	text     *dil.Builder // any delta builder: they share one full-text stage
+	// memo keeps this state's keyword norms and OntoScore expansions
+	// (see keywordNorm); it goes with the state at the next mutation.
+	memo     *dil.Memo
 	live     map[string]*docEntry // live delta documents by name
 	byID     map[int32]*docEntry  // all delta documents ever (hydration)
 	dead     map[int32]bool       // suppressed doc IDs: base tombstones + superseded delta
@@ -132,6 +138,7 @@ func emptyState(base *xmltree.Corpus, baseStats ir.Stats, cfg Config, version ui
 		base:      base,
 		baseStats: baseStats,
 		builders:  map[ontoscore.Strategy]*dil.Builder{},
+		memo:      dil.NewMemo(),
 		live:      map[string]*docEntry{},
 		byID:      map[int32]*docEntry{},
 		dead:      map[int32]bool{},
@@ -216,6 +223,7 @@ func (s *Segment) applyToState(cur *segState, op Op) (*segState, error) {
 		seq:       op.Seq,
 		base:      cur.base,
 		baseStats: cur.baseStats,
+		memo:      dil.NewMemo(),
 		live:      make(map[string]*docEntry, len(cur.live)+1),
 		byID:      make(map[int32]*docEntry, len(cur.byID)+1),
 		dead:      make(map[int32]bool, len(cur.dead)+1),
@@ -294,9 +302,13 @@ func (s *Segment) applyToState(cur *segState, op Op) (*segState, error) {
 }
 
 // rebuildBuilders reindexes the live delta documents into fresh
-// per-strategy builders. Each builder gets a statistics view and a
-// calibrator pinned to this state, so postings it produces are scored
-// against the state's own global picture.
+// per-strategy builders sharing one full-text stage. Each builder gets
+// a statistics view, a calibrator and a memo pinned to this state, so
+// postings it produces are scored against the state's own global
+// picture. With a base provider wired, the builders index against the
+// base generation's collection and borrow its builders' OntoScore
+// computers, so a base build and a delta build of one keyword share
+// the state's OntoScore memo.
 func (s *Segment) rebuildBuilders(st *segState) {
 	st.builders = make(map[ontoscore.Strategy]*dil.Builder, len(s.cfg.Strategies))
 	if len(st.live) == 0 {
@@ -311,14 +323,26 @@ func (s *Segment) rebuildBuilders(st *segState) {
 	for _, e := range entries {
 		corpus.AddExisting(e.doc)
 	}
-	for _, strat := range s.cfg.Strategies {
-		b := dil.NewMultiBuilder(corpus, s.cfg.Coll, strat, s.cfg.DIL)
+	coll := s.cfg.Coll
+	lenders := map[ontoscore.Strategy]*dil.Builder{}
+	if bp := s.baseProvider; bp != nil {
+		for _, strat := range s.cfg.Strategies {
+			if b := bp(strat); b != nil {
+				lenders[strat] = b
+				coll = b.Collection()
+			}
+		}
+	}
+	st.builders = dil.NewBuilders(corpus, coll, s.cfg.DIL, s.cfg.Strategies, lenders)
+	memo := func() *dil.Memo { return st.memo }
+	for strat, b := range st.builders {
+		st.text = b
 		b.SetGlobalTextStatsView(stateStatsView{st})
+		b.SetMemo(memo)
 		if bp := s.baseProvider; bp != nil {
 			strat := strat
-			b.SetCalibrator(stateCalibrator{s: st, strategy: strat, base: func() *dil.Builder { return bp(strat) }})
+			b.SetCalibrator(stateCalibrator{seg: s, s: st, base: func() *dil.Builder { return bp(strat) }})
 		}
-		st.builders[strat] = b
 	}
 }
 

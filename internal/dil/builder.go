@@ -1,9 +1,11 @@
 package dil
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -87,28 +89,41 @@ type elemEntry struct {
 	node *xmltree.Node
 }
 
+// textStage is stage 1 of index creation, the full-text index of the
+// corpus. It depends on the corpus, the collection and the parameters
+// only, never on the OntoScore strategy, so builders of several
+// strategies over one corpus can share it (NewBuilders).
+type textStage struct {
+	corpus *xmltree.Corpus
+	coll   *ontology.Collection
+	params Params
+
+	elements []elemEntry                     // DocKey -> node
+	textIx   *ir.Index                       // elements as documents (bag model, BM25 stats)
+	posIx    *ir.Positional                  // token positions for exact phrase tests
+	byRef    map[xmltree.OntoRef][]ir.DocKey // reference -> element keys
+	ranks    elemrank.Ranks                  // raw ranks; nil unless Params.ElemRank set
+	// keyOrdered records that element keys ascend in Dewey order (true
+	// when documents are indexed in ascending ID order, as corpora
+	// assign them), so assemble can order postings by key.
+	keyOrdered bool
+
+	fullTextTime time.Duration
+	buildErr     error
+}
+
 // Builder is the Index Creation Module: it holds the full-text index of
 // the corpus (stage 1), computes OntoScores on demand or in bulk
 // (stage 2), and assembles XOnto-DILs (stage 3). Code nodes may
 // reference any ontology of the collection (the paper's ontological
 // systems collection O = {O1..Ok}).
 type Builder struct {
-	corpus   *xmltree.Corpus
-	coll     *ontology.Collection
-	strategy ontoscore.Strategy
-	params   Params
-
-	elements  []elemEntry                     // DocKey -> node
-	textIx    *ir.Index                       // elements as documents (bag model, BM25 stats)
-	posIx     *ir.Positional                  // token positions for exact phrase tests
-	computers map[string]*ontoscore.Computer  // system id -> computer
-	byRef     map[xmltree.OntoRef][]ir.DocKey // reference -> element keys
-	ranks     elemrank.Ranks                  // raw ranks; nil unless Params.ElemRank set
-	ranksMax  float64                         // normalization factor for ranks
-	calib     Calibrator                      // nil unless this builder is a corpus partition
-
-	fullTextTime time.Duration
-	buildErr     error
+	*textStage
+	strategy  ontoscore.Strategy
+	computers map[string]*ontoscore.Computer // system id -> computer
+	ranksMax  float64                        // normalization factor for ranks
+	calib     Calibrator                     // nil unless this builder is a corpus partition
+	memo      func() *Memo                   // nil unless results are shared per corpus state
 }
 
 // Calibrator supplies corpus-global score-calibration facts to a
@@ -134,10 +149,30 @@ type Calibrator interface {
 	KeywordNorm(keyword string) float64
 }
 
+// A PinningCalibrator is a Calibrator whose answers follow mutable
+// live state (internal/delta's, over base plus delta minus tombstones).
+// A builder pins it before its own raw BM25 pass over the keyword's
+// containing set, so the pass can stand in for the calibrator's
+// re-scoring of the same candidates: both then read one state.
+type PinningCalibrator interface {
+	Calibrator
+	// Pin binds the divisor to the state current at the call. The
+	// returned function takes the keyword and local, builder b's
+	// maximum raw score over its candidates whose document dead does
+	// not report — b's RawTextMaxLive, read off the raw pass.
+	Pin(b *Builder) func(keyword string, local func(dead func(docID int32) bool) float64) float64
+}
+
 // SetCalibrator installs the cross-partition score calibrator. Call it
 // while the builder is off-line (before it serves queries); it is not
 // synchronized with concurrent builds.
 func (b *Builder) SetCalibrator(c Calibrator) { b.calib = c }
+
+// SetMemo installs the per-state memo the builder records OntoScore
+// expansions in and reads them back from (see Memo); memo returns the
+// memo of the state current at the call, or nil for none. Off-line
+// only, like SetCalibrator.
+func (b *Builder) SetMemo(memo func() *Memo) { b.memo = memo }
 
 // LocalTextStats snapshots the partition-local statistics of the
 // full-text stage (stage 1), for merging into corpus-global statistics
@@ -177,8 +212,9 @@ func (b *Builder) RawTextMax(keyword string) float64 {
 		return 0
 	}
 	max := 0.0
+	bm25 := b.textIx.BM25Scorer(b.params.Onto.BM25, terms)
 	for _, key := range b.posIx.PhraseDocs(terms) {
-		if s := b.textIx.BM25(b.params.Onto.BM25, key, terms); s > max {
+		if s := bm25(key); s > max {
 			max = s
 		}
 	}
@@ -199,11 +235,12 @@ func (b *Builder) RawTextMaxLive(keyword string, dead func(docID int32) bool) fl
 		return 0
 	}
 	max := 0.0
+	bm25 := b.textIx.BM25Scorer(b.params.Onto.BM25, terms)
 	for _, key := range b.posIx.PhraseDocs(terms) {
 		if dead(b.node(key).ID.DocID()) {
 			continue
 		}
-		if s := b.textIx.BM25(b.params.Onto.BM25, key, terms); s > max {
+		if s := bm25(key); s > max {
 			max = s
 		}
 	}
@@ -225,32 +262,78 @@ func NewBuilder(corpus *xmltree.Corpus, ont *ontology.Ontology, strategy ontosco
 // must already carry Dewey IDs (xmltree.Corpus.Add assigns them).
 func NewMultiBuilder(corpus *xmltree.Corpus, coll *ontology.Collection, strategy ontoscore.Strategy, params Params) *Builder {
 	start := time.Now()
-	b := &Builder{
-		corpus:    corpus,
-		coll:      coll,
-		strategy:  strategy,
-		params:    params,
-		textIx:    ir.NewIndex(),
-		posIx:     ir.NewPositional(),
-		computers: make(map[string]*ontoscore.Computer, coll.Len()),
-		byRef:     make(map[xmltree.OntoRef][]ir.DocKey),
+	ts := newTextStage(corpus, coll, params)
+	b := newBuilder(ts, strategy, newComputers(coll, params.Onto))
+	ts.fullTextTime = time.Since(start)
+	return b
+}
+
+// NewBuilders runs the full-text stage over the corpus once and returns
+// one builder per strategy, all sharing it. A builder of the same
+// strategy in lenders lends its OntoScore computers when it indexes
+// against the same collection with the same OntoScore parameters
+// (computers depend on the ontology alone); every other strategy gets
+// computers built here, one set shared among them. The builders share
+// their full-text index, so statistics views installed on one apply to
+// all, and none of them may be extended with AddDocument.
+func NewBuilders(corpus *xmltree.Corpus, coll *ontology.Collection, params Params, strategies []ontoscore.Strategy, lenders map[ontoscore.Strategy]*Builder) map[ontoscore.Strategy]*Builder {
+	start := time.Now()
+	ts := newTextStage(corpus, coll, params)
+	var own map[string]*ontoscore.Computer
+	out := make(map[ontoscore.Strategy]*Builder, len(strategies))
+	for _, st := range strategies {
+		var computers map[string]*ontoscore.Computer
+		if l := lenders[st]; l != nil && l.coll == coll && l.params.Onto == params.Onto {
+			computers = l.computers
+		} else {
+			if own == nil {
+				own = newComputers(coll, params.Onto)
+			}
+			computers = own
+		}
+		out[st] = newBuilder(ts, st, computers)
+	}
+	ts.fullTextTime = time.Since(start)
+	return out
+}
+
+func newTextStage(corpus *xmltree.Corpus, coll *ontology.Collection, params Params) *textStage {
+	ts := &textStage{
+		corpus:     corpus,
+		coll:       coll,
+		params:     params,
+		textIx:     ir.NewIndex(),
+		posIx:      ir.NewPositional(),
+		byRef:      make(map[xmltree.OntoRef][]ir.DocKey),
+		keyOrdered: true,
 	}
 	for _, doc := range corpus.Docs() {
-		b.indexDocument(doc)
-	}
-	for _, ont := range coll.Ontologies() {
-		b.computers[ont.SystemID] = ontoscore.NewComputer(ont, params.Onto)
+		ts.indexDocument(doc)
 	}
 	if params.ElemRank != nil {
 		ranks, err := elemrank.ComputeCorpus(corpus, *params.ElemRank)
 		if err != nil {
-			b.buildErr = err
+			ts.buildErr = err
 		} else {
-			b.ranks = ranks
-			b.ranksMax = ranks.Max()
+			ts.ranks = ranks
 		}
 	}
-	b.fullTextTime = time.Since(start)
+	return ts
+}
+
+func newComputers(coll *ontology.Collection, params ontoscore.Params) map[string]*ontoscore.Computer {
+	out := make(map[string]*ontoscore.Computer, coll.Len())
+	for _, ont := range coll.Ontologies() {
+		out[ont.SystemID] = ontoscore.NewComputer(ont, params)
+	}
+	return out
+}
+
+func newBuilder(ts *textStage, strategy ontoscore.Strategy, computers map[string]*ontoscore.Computer) *Builder {
+	b := &Builder{textStage: ts, strategy: strategy, computers: computers}
+	if ts.ranks != nil {
+		b.ranksMax = ts.ranks.Max()
+	}
 	return b
 }
 
@@ -258,7 +341,8 @@ func NewMultiBuilder(corpus *xmltree.Corpus, coll *ontology.Collection, strategy
 // document (already added to the corpus, so it carries Dewey IDs).
 // Previously built DILs do not cover the new document; callers must
 // rebuild or re-request the keywords they use (core.System.AddDocument
-// handles the invalidation).
+// handles the invalidation). Builders from NewBuilders share their
+// full-text stage and must not be extended.
 func (b *Builder) AddDocument(doc *xmltree.Document) {
 	b.indexDocument(doc)
 	if b.params.ElemRank != nil && b.buildErr == nil {
@@ -276,20 +360,26 @@ func (b *Builder) AddDocument(doc *xmltree.Document) {
 	}
 }
 
-func (b *Builder) indexDocument(doc *xmltree.Document) {
+func (ts *textStage) indexDocument(doc *xmltree.Document) {
 	for _, n := range doc.Nodes() {
-		key := ir.DocKey(len(b.elements))
-		b.elements = append(b.elements, elemEntry{node: n})
-		tokens := xmltree.Tokenize(xmltree.TextDescription(n, b.params.Text))
-		b.textIx.Add(key, tokens)
-		b.posIx.Add(key, tokens)
+		key := ir.DocKey(len(ts.elements))
+		if key > 0 && ts.elements[key-1].node.ID.Compare(n.ID) >= 0 {
+			ts.keyOrdered = false
+		}
+		ts.elements = append(ts.elements, elemEntry{node: n})
+		tokens := xmltree.Tokenize(xmltree.TextDescription(n, ts.params.Text))
+		ts.textIx.Add(key, tokens)
+		ts.posIx.Add(key, tokens)
 		if ref, ok := n.OntoRef(); ok {
-			if _, inColl := b.coll.System(ref.System); inColl {
-				b.byRef[ref] = append(b.byRef[ref], key)
+			if _, inColl := ts.coll.System(ref.System); inColl {
+				ts.byRef[ref] = append(ts.byRef[ref], key)
 			}
 		}
 	}
 }
+
+// Corpus returns the corpus the builder's full-text stage indexes.
+func (b *Builder) Corpus() *xmltree.Corpus { return b.corpus }
 
 // Strategy returns the OntoScore strategy the builder indexes with.
 func (b *Builder) Strategy() ontoscore.Strategy { return b.strategy }
@@ -381,10 +471,15 @@ func (b *Builder) textScores(keyword string) map[ir.DocKey]float64 {
 	if len(candidates) == 0 {
 		return nil
 	}
+	var pinned func(string, func(func(int32) bool) float64) float64
+	if pc, ok := b.calib.(PinningCalibrator); ok {
+		pinned = pc.Pin(b) // before the pass, so both read one state
+	}
 	raw := make(map[ir.DocKey]float64, len(candidates))
 	max := 0.0
+	bm25 := b.textIx.BM25Scorer(b.params.Onto.BM25, terms)
 	for _, key := range candidates {
-		s := b.textIx.BM25(b.params.Onto.BM25, key, terms)
+		s := bm25(key)
 		raw[key] = s
 		if s > max {
 			max = s
@@ -397,7 +492,21 @@ func (b *Builder) textScores(keyword string) map[ir.DocKey]float64 {
 	// can be smaller than the stale local one (and on a shard it is
 	// always >= local, so this also covers the partition case).
 	if b.calib != nil {
-		if g := b.calib.KeywordNorm(keyword); g > 0 {
+		var g float64
+		if pinned != nil {
+			g = pinned(keyword, func(dead func(int32) bool) float64 {
+				live := 0.0
+				for key, s := range raw {
+					if s > live && !dead(b.node(key).ID.DocID()) {
+						live = s
+					}
+				}
+				return live
+			})
+		} else {
+			g = b.calib.KeywordNorm(keyword)
+		}
+		if g > 0 {
 			max = g
 		}
 	}
@@ -492,37 +601,63 @@ func (b *Builder) textScoresCtx(ctx context.Context, keyword string) map[ir.DocK
 	return m
 }
 
-// ontoScoresCtx is ontoScores with per-system propagation spans.
+// ontoScoresCtx computes the keyword's OntoScores against every
+// system, with per-system propagation spans.
 func (b *Builder) ontoScoresCtx(ctx context.Context, keyword string) map[string]ontoscore.Scores {
+	memo := b.currentMemo()
 	out := make(map[string]ontoscore.Scores, len(b.computers))
 	for sys, c := range b.computers {
-		if s := c.ComputeCtx(ctx, b.strategy, keyword); len(s) > 0 {
+		if s := b.ontoScore(ctx, memo, c, keyword); len(s) > 0 {
 			out[sys] = s
 		}
 	}
 	return out
 }
 
-// ontoScoresECtx is ontoScoresE with per-system propagation spans.
+// ontoScoresECtx is ontoScoresCtx on the fallible path: the
+// FPOntoResolve failpoint fires once per system on every build, memo
+// hit or not.
 func (b *Builder) ontoScoresECtx(ctx context.Context, keyword string) (map[string]ontoscore.Scores, error) {
+	memo := b.currentMemo()
 	out := make(map[string]ontoscore.Scores, len(b.computers))
 	for sys, c := range b.computers {
 		if err := faultinject.Hit(FPOntoResolve); err != nil {
 			return nil, fmt.Errorf("dil: resolving %q against system %s: %w", keyword, sys, err)
 		}
-		if s := c.ComputeCtx(ctx, b.strategy, keyword); len(s) > 0 {
+		if s := b.ontoScore(ctx, memo, c, keyword); len(s) > 0 {
 			out[sys] = s
 		}
 	}
 	return out, nil
 }
 
+func (b *Builder) currentMemo() *Memo {
+	if b.memo == nil {
+		return nil
+	}
+	return b.memo()
+}
+
+// ontoScore runs one system's expansion, through the memo when one is
+// installed.
+func (b *Builder) ontoScore(ctx context.Context, memo *Memo, c *ontoscore.Computer, keyword string) ontoscore.Scores {
+	if memo == nil {
+		return c.ComputeCtx(ctx, b.strategy, keyword)
+	}
+	if s, ok := memo.Onto(c, b.strategy, keyword); ok {
+		return s
+	}
+	s := c.ComputeCtx(ctx, b.strategy, keyword)
+	memo.SetOnto(c, b.strategy, keyword, s)
+	return s
+}
+
 // assemble merges one keyword's text scores with alpha-scaled
-// OntoScore postings into the final sorted list.
-func (b *Builder) assemble(keyword string, text map[ir.DocKey]float64, onto map[string]ontoscore.Scores) List {
-	scores := make(map[ir.DocKey]float64)
-	for key, s := range text {
-		scores[key] = s
+// OntoScore postings into the final sorted list. It takes ownership of
+// the text map and merges into it.
+func (b *Builder) assemble(keyword string, scores map[ir.DocKey]float64, onto map[string]ontoscore.Scores) List {
+	if scores == nil {
+		scores = make(map[ir.DocKey]float64)
 	}
 	for sys, perConcept := range onto {
 		ont, ok := b.coll.System(sys)
@@ -546,9 +681,23 @@ func (b *Builder) assemble(keyword string, text map[ir.DocKey]float64, onto map[
 	if len(scores) == 0 {
 		return nil
 	}
-	out := make(List, 0, len(scores))
+	type scored struct {
+		key ir.DocKey
+		s   float64
+	}
+	keyed := make([]scored, 0, len(scores))
 	for key, s := range scores {
-		id := b.node(key).ID
+		keyed = append(keyed, scored{key, s})
+	}
+	if b.keyOrdered {
+		// Key order is Dewey order: an integer sort replaces the
+		// identifier comparisons of List.Sort.
+		slices.SortFunc(keyed, func(x, y scored) int { return cmp.Compare(x.key, y.key) })
+	}
+	out := make(List, 0, len(keyed))
+	for _, e := range keyed {
+		id := b.node(e.key).ID
+		s := e.s
 		if b.ranks != nil && b.ranksMax > 0 {
 			s *= b.ranks.Rank(id) / b.ranksMax
 		}
@@ -557,7 +706,9 @@ func (b *Builder) assemble(keyword string, text map[ir.DocKey]float64, onto map[
 		}
 		out = append(out, Posting{ID: id, Score: s})
 	}
-	out.Sort()
+	if !b.keyOrdered {
+		out.Sort()
+	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package dil
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -78,4 +79,35 @@ func TestBuildKeywordE(t *testing.T) {
 		t.Fatal("BuildKeyword changed under an armed failpoint")
 	}
 	faultinject.Disable(FPOntoResolve)
+}
+
+// A corpus whose documents are not in ascending ID order indexes its
+// elements out of Dewey order; assemble must then fall back to sorting
+// postings by identifier and produce the same lists.
+func TestBuildKeywordCorpusOrderIndependent(t *testing.T) {
+	ont := ontology.Figure2Fragment()
+	inOrder, reversed := xmltree.NewCorpus(), xmltree.NewCorpus()
+	var docs []*xmltree.Document
+	for i := 0; i < 3; i++ {
+		doc, err := cda.GenerateFigure1(ont)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc.Name = fmt.Sprintf("figure-1-%d", i)
+		docs = append(docs, inOrder.Add(doc))
+	}
+	for i := len(docs) - 1; i >= 0; i-- {
+		reversed.AddExisting(docs[i])
+	}
+	a := NewBuilder(inOrder, ont, ontoscore.StrategyRelationships, DefaultParams())
+	b := NewBuilder(reversed, ont, ontoscore.StrategyRelationships, DefaultParams())
+	if !a.keyOrdered || b.keyOrdered {
+		t.Fatalf("keyOrdered = %v (in order), %v (reversed); want true, false", a.keyOrdered, b.keyOrdered)
+	}
+	for _, kw := range []string{"asthma", "theophylline", "bronchial structure", "medications"} {
+		got, want := b.BuildKeyword(kw), a.BuildKeyword(kw)
+		if len(want) == 0 || !listsEqual(got, want) {
+			t.Errorf("%q: reversed corpus list differs (%d vs %d postings)", kw, len(got), len(want))
+		}
+	}
 }

@@ -8,11 +8,10 @@ import (
 	"repro/internal/xmltree"
 )
 
-// Arena segment layout: the zero-copy sibling of the XCL1 stream
-// encoding. Where AppendBinary/DecodeCompact trade a minimal stream
-// for a full decode into heap arrays, a segment stores the skip table
-// *explicitly* so a CompactList can serve straight out of a mapped
-// byte range ("borrowed" mode) without materializing anything:
+// Arena segment layout: the one persisted encoding of a CompactList.
+// A segment stores the skip table *explicitly* next to the front-coded
+// postings, so a CompactList can serve straight out of a mapped byte
+// range ("borrowed" mode) without materializing anything:
 //
 //	header   n uint32 | nBlocks uint32            (little-endian)
 //	blocks   nBlocks × 24 bytes:
@@ -21,20 +20,20 @@ import (
 //	           firstDoc   uint32   document ID of the block's first posting
 //	           maxScore   float64  largest posting score in the block
 //	           tailMax    float64  suffix maximum over blocks b..end
-//	payload  per-posting bytes, byte-identical to the XCL1 body:
+//	payload  per-posting bytes:
 //	           uvarint prefixLen | uvarint suffixLen |
 //	           suffix components as uvarints | score as 8 LE bytes
 //
-// The payload bytes are exactly what AppendBinary writes after its
-// three-uvarint header, which is what makes the mmap and heap paths
-// provably serve the same postings: they decode the same bytes.
+// A heap list and the borrowed list over its segment walk the same
+// postings, and re-encoding a borrowed list reproduces the segment
+// byte for byte (TestSegmentRoundTrip), which is what makes the mmap
+// and heap paths provably serve the same postings.
 //
 // A segment never contains an empty list (Index.Set drops empty
 // keywords), and the trailing CRC that protects a segment on disk is
 // owned by the arena file format, not by this layer: BorrowSegment
-// receives the CRC-stripped body and performs the same structural
-// validation DecodeCompact does, plus a cross-check of every skip-table
-// entry against the decoded postings.
+// receives the CRC-stripped body, validates the postings' structure
+// and cross-checks every skip-table entry against them.
 
 const (
 	segHeaderSize     = 8
@@ -90,10 +89,12 @@ func (c *CompactList) AppendSegment(buf []byte) []byte {
 // the backing bytes alive — and mapped — for as long as the list or
 // any Cursor over it is in use.
 //
-// Validation is as strict as DecodeCompact (canonical varints,
-// restart-point prefix 0, front-coding invariants, int32 component
-// bounds), and additionally proves every skip-table entry consistent
-// with the decoded postings: payload offsets, first documents, block
+// Validation checks canonical varints, restart-point prefix 0, the
+// front-coding invariants (a prefix never longer than the previous
+// identifier, and maximal: the first suffix component differs from
+// the previous identifier's), non-empty identifiers and int32
+// component bounds, and proves every skip-table entry consistent with
+// the decoded postings: payload offsets, first documents, block
 // maxima, and tail maxima must all match exactly. A segment that
 // passes is safe for the Cursor's unvalidated borrowed decode path.
 func BorrowSegment(seg []byte) (*CompactList, error) {

@@ -2,6 +2,8 @@ package dil
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -36,15 +38,14 @@ func TestSegmentRoundTrip(t *testing.T) {
 		if !listsEqual(b.List(), l) {
 			t.Fatalf("n=%d: borrowed List() does not reproduce the original", n)
 		}
-		// Re-encoding a borrowed list reproduces both formats.
-		if !bytes.Equal(b.AppendSegment(nil), Compact(l).AppendSegment(nil)) {
+		// Re-encoding a borrowed list reproduces the segment, and the
+		// borrowed list re-encoded through the heap form does too.
+		seg := Compact(l).AppendSegment(nil)
+		if !bytes.Equal(b.AppendSegment(nil), seg) {
 			t.Fatalf("n=%d: borrowed AppendSegment differs", n)
 		}
-		if !bytes.Equal(b.AppendBinary(nil), Compact(l).AppendBinary(nil)) {
-			t.Fatalf("n=%d: borrowed AppendBinary differs", n)
-		}
-		if b.EncodedSize() != len(b.AppendBinary(nil)) {
-			t.Fatalf("n=%d: borrowed EncodedSize mismatch", n)
+		if !bytes.Equal(Compact(b.List()).AppendSegment(nil), seg) {
+			t.Fatalf("n=%d: List round-trip of the borrowed list differs", n)
 		}
 	}
 }
@@ -140,4 +141,34 @@ func TestBorrowSegmentRejects(t *testing.T) {
 			t.Errorf("%s: corrupt segment accepted", tc.name)
 		}
 	}
+
+	// Payloads whose skip table is consistent but whose front coding is
+	// not canonical, or whose identifier is empty.
+	for name, payload := range map[string][]byte{
+		// "0.2" shares the prefix "0" with "0.1": canonical coding is
+		// prefix 1, suffix {2}, not prefix 0 and the full identifier.
+		"non-canonical front coding": appendScore(appendUvarints(
+			appendScore(appendUvarints(nil, 0, 2, 0, 1), 0.5), 0, 2, 0, 2), 0.25),
+		"empty identifier": appendScore(appendUvarints(nil, 0, 0), 1),
+	} {
+		n := 2
+		if name == "empty identifier" {
+			n = 1
+		}
+		if _, err := BorrowSegment(rawSegment(n, 0, 0.5, payload)); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+}
+
+// rawSegment frames a hand-built payload of n < BlockSize postings as a
+// one-block segment with the given skip entry.
+func rawSegment(n int, firstDoc uint32, maxScore float64, payload []byte) []byte {
+	seg := binary.LittleEndian.AppendUint32(nil, uint32(n))
+	seg = binary.LittleEndian.AppendUint32(seg, 1)
+	seg = binary.LittleEndian.AppendUint32(seg, 0)
+	seg = binary.LittleEndian.AppendUint32(seg, firstDoc)
+	seg = binary.LittleEndian.AppendUint64(seg, math.Float64bits(maxScore))
+	seg = binary.LittleEndian.AppendUint64(seg, math.Float64bits(maxScore))
+	return append(seg, payload...)
 }

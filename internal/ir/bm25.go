@@ -25,20 +25,35 @@ func (ix *Index) idf(term string) float64 {
 
 // BM25 scores one document against a bag of query terms.
 func (ix *Index) BM25(p BM25Params, doc DocKey, terms []string) float64 {
-	dl := float64(ix.DocLen(doc))
+	return ix.BM25Scorer(p, terms)(doc)
+}
+
+// BM25Scorer returns BM25 against one bag of query terms as a function
+// of the document. It reads the collection statistics (average length,
+// and N and DF through each term's IDF) once, not per document, so a
+// pass over a term's candidates does no repeated work; every score is
+// bit-identical to BM25's.
+func (ix *Index) BM25Scorer(p BM25Params, terms []string) func(doc DocKey) float64 {
 	avg := ix.AvgDocLen()
 	if avg == 0 {
-		return 0
+		return func(DocKey) float64 { return 0 }
 	}
-	score := 0.0
-	for _, t := range terms {
-		tf := float64(ix.TF(t, doc))
-		if tf == 0 {
-			continue
+	idf := make([]float64, len(terms))
+	for i, t := range terms {
+		idf[i] = ix.idf(t)
+	}
+	return func(doc DocKey) float64 {
+		dl := float64(ix.DocLen(doc))
+		score := 0.0
+		for i, t := range terms {
+			tf := float64(ix.TF(t, doc))
+			if tf == 0 {
+				continue
+			}
+			score += idf[i] * (tf * (p.K1 + 1)) / (tf + p.K1*(1-p.B+p.B*dl/avg))
 		}
-		score += ix.idf(t) * (tf * (p.K1 + 1)) / (tf + p.K1*(1-p.B+p.B*dl/avg))
+		return score
 	}
-	return score
 }
 
 // BM25All computes the BM25 score of every document containing at least

@@ -23,6 +23,8 @@ type Posting struct {
 
 // Index is an in-memory inverted index with the collection statistics
 // BM25 needs (document frequencies, document lengths, average length).
+// Every term's postings are kept sorted by document key, so TF is a
+// binary search and Postings needs no sort.
 type Index struct {
 	postings map[string][]Posting
 	docLen   map[DocKey]int
@@ -45,7 +47,10 @@ func NewIndex() *Index {
 
 // Add indexes a document as a bag of tokens. Adding the same key twice
 // replaces nothing — callers must add each document once; a second Add
-// with the same key extends the previous one (tokens accumulate).
+// with the same key extends the previous one (tokens accumulate). Keys
+// may arrive in any order, but ascending keys (what the index builders
+// assign) are the cheap case: each posting lands at the tail of its
+// list.
 func (ix *Index) Add(doc DocKey, tokens []string) {
 	if len(tokens) == 0 {
 		if _, ok := ix.docLen[doc]; !ok {
@@ -59,23 +64,32 @@ func (ix *Index) Add(doc DocKey, tokens []string) {
 	}
 	for t, c := range counts {
 		list := ix.postings[t]
-		// Merge with an existing posting for this doc if Add is called
-		// twice for the same key.
-		merged := false
-		for i := range list {
+		n := len(list)
+		switch {
+		case n == 0 || list[n-1].Doc < doc:
+			ix.postings[t] = append(list, Posting{Doc: doc, TF: int32(c)})
+		case list[n-1].Doc == doc:
+			list[n-1].TF += int32(c)
+		default:
+			i := search(list, doc)
 			if list[i].Doc == doc {
 				list[i].TF += int32(c)
-				merged = true
-				break
+				continue
 			}
+			list = append(list, Posting{})
+			copy(list[i+1:], list[i:])
+			list[i] = Posting{Doc: doc, TF: int32(c)}
+			ix.postings[t] = list
 		}
-		if !merged {
-			list = append(list, Posting{Doc: doc, TF: int32(c)})
-		}
-		ix.postings[t] = list
 	}
 	ix.docLen[doc] += len(tokens)
 	ix.totalLen += int64(len(tokens))
+}
+
+// search returns the index of the first posting of list whose key is
+// >= doc (len(list) when there is none).
+func search(list []Posting, doc DocKey) int {
+	return sort.Search(len(list), func(i int) bool { return list[i].Doc >= doc })
 }
 
 // N is the number of indexed documents (collection-global when a stats
@@ -98,10 +112,9 @@ func (ix *Index) DF(term string) int {
 
 // TF returns the term frequency of term in doc (0 if absent).
 func (ix *Index) TF(term string, doc DocKey) int {
-	for _, p := range ix.postings[term] {
-		if p.Doc == doc {
-			return int(p.TF)
-		}
+	list := ix.postings[term]
+	if i := search(list, doc); i < len(list) && list[i].Doc == doc {
+		return int(list[i].TF)
 	}
 	return 0
 }
@@ -128,11 +141,7 @@ func (ix *Index) AvgDocLen() float64 {
 // Postings returns the postings of a term sorted by document key. The
 // returned slice is a copy.
 func (ix *Index) Postings(term string) []Posting {
-	src := ix.postings[term]
-	out := make([]Posting, len(src))
-	copy(out, src)
-	sort.Slice(out, func(i, j int) bool { return out[i].Doc < out[j].Doc })
-	return out
+	return append([]Posting{}, ix.postings[term]...)
 }
 
 // Vocabulary returns every indexed term, sorted.
@@ -146,7 +155,7 @@ func (ix *Index) Vocabulary() []string {
 }
 
 // DocsContainingAll returns the keys of documents containing every one
-// of the terms, sorted. Used for conjunctive candidate generation
+// of the terms, sorted (the rarest term's postings are). Used for conjunctive candidate generation
 // before phrase verification.
 func (ix *Index) DocsContainingAll(terms []string) []DocKey {
 	if len(terms) == 0 {
@@ -175,6 +184,5 @@ func (ix *Index) DocsContainingAll(terms []string) []DocKey {
 			out = append(out, p.Doc)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

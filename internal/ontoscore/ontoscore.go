@@ -162,8 +162,9 @@ func (c *Computer) Seeds(keyword string) Scores {
 	terms := tokenize(keyword)
 	raw := make(Scores, len(containing))
 	max := 0.0
+	bm25 := c.index.BM25Scorer(c.params.BM25, terms)
 	for _, id := range containing {
-		s := c.index.BM25(c.params.BM25, ir.DocKey(id), terms)
+		s := bm25(ir.DocKey(id))
 		raw[id] = s
 		if s > max {
 			max = s

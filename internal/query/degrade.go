@@ -45,16 +45,16 @@ func isContextErr(err error) bool {
 func (e *Engine) listResilient(ctx context.Context, sp *obs.Span, kw, tag string, fb FallibleKeywordBuilder) (dil.List, bool, error) {
 	ckey := tag + kw
 	if l, ok := e.cache.Get(ckey); ok {
-		sp.SetAttr("source", "cache")
+		resolvedFrom(sp, fromCache, tag != "")
 		return l, false, nil
 	}
 	if !e.breaker.Allow() {
-		sp.SetAttr("source", "built")
+		resolvedFrom(sp, fromBuilt, tag != "")
 		sp.SetAttr("breaker_open", true)
 		l, err := e.listIR(ctx, kw, tag)
 		return l, true, err
 	}
-	sp.SetAttr("source", "built")
+	resolvedFrom(sp, fromBuilt, tag != "")
 	l, err, _ := e.flights.Do(ctx, ckey, func(fctx context.Context) (dil.List, error) {
 		if l, ok := e.cache.Get(ckey); ok { // raced with another build
 			return l, nil

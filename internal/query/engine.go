@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dil"
 	"repro/internal/obs"
@@ -257,6 +258,51 @@ func (e *Engine) combine(ctx context.Context, sp *obs.Span, kw string, ov Overla
 	return r, degraded, nil
 }
 
+// KeywordSources names how a keyword's posting list can be answered:
+// from the prebuilt index (or a mapped arena), from the on-demand
+// keyword cache, or built on demand. Indexed by keywordSource.
+var KeywordSources = [...]string{"index", "cache", "built"}
+
+type keywordSource int
+
+const (
+	fromIndex keywordSource = iota
+	fromCache
+	fromBuilt
+)
+
+// keywordResolutions counts resolutions per source and overlay state
+// (clean, dirty), backing xontorank_keyword_resolutions_total on
+// /metrics.
+var keywordResolutions [len(KeywordSources)][2]atomic.Int64
+
+// KeywordResolutions reads the process-wide count of keyword
+// resolutions answered from source (a KeywordSources entry) under a
+// clean or a dirty delta overlay.
+func KeywordResolutions(source string, dirty bool) int64 {
+	for i, s := range KeywordSources {
+		if s == source {
+			return keywordResolutions[i][overlaySlot(dirty)].Load()
+		}
+	}
+	return 0
+}
+
+// resolvedFrom tags the query.keyword span with how the keyword was
+// answered and counts the resolution; dirty says whether a dirty
+// overlay bypassed the prebuilt lists.
+func resolvedFrom(sp *obs.Span, src keywordSource, dirty bool) {
+	sp.SetAttr("source", KeywordSources[src])
+	keywordResolutions[src][overlaySlot(dirty)].Add(1)
+}
+
+func overlaySlot(dirty bool) int {
+	if dirty {
+		return 1
+	}
+	return 0
+}
+
 func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov OverlayView, needList bool) (resolved, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return resolved{}, false, err
@@ -278,12 +324,12 @@ func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov Over
 			// compact source (prebuilt index or mapped arena) resolves
 			// without materializing a heap list at all.
 			if c := cs.Compact(kw); c != nil {
-				sp.SetAttr("source", "index")
+				resolvedFrom(sp, fromIndex, false)
 				return resolved{compact: c}, false, nil
 			}
 		}
 		if l := e.source.List(kw); l != nil {
-			sp.SetAttr("source", "index")
+			resolvedFrom(sp, fromIndex, false)
 			r := resolved{list: l}
 			if compactable {
 				r.compact = cs.Compact(kw)
@@ -301,10 +347,10 @@ func (e *Engine) listInner(ctx context.Context, sp *obs.Span, kw string, ov Over
 	}
 	ckey := tag + kw
 	if l, ok := e.cache.Get(ckey); ok {
-		sp.SetAttr("source", "cache")
+		resolvedFrom(sp, fromCache, tag != "")
 		return resolved{list: l}, false, nil
 	}
-	sp.SetAttr("source", "built")
+	resolvedFrom(sp, fromBuilt, tag != "")
 	l, err, _ := e.flights.Do(ctx, ckey, func(fctx context.Context) (dil.List, error) {
 		if l, ok := e.cache.Get(ckey); ok { // raced with another build
 			return l, nil

@@ -540,3 +540,86 @@ func TestReloadWithPendingWALDifferential(t *testing.T) {
 		}
 	}
 }
+
+// keywordResolutions scrapes xontorank_keyword_resolutions_total off
+// /metrics, keyed "source/overlay".
+func keywordResolutions(t *testing.T, s *Server) map[string]float64 {
+	t.Helper()
+	rec := get(t, s, "/metrics")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/metrics = %d", rec.Code)
+	}
+	out := map[string]float64{}
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if !strings.HasPrefix(line, "xontorank_keyword_resolutions_total{") {
+			continue
+		}
+		var source, overlay string
+		var v float64
+		labels, value, _ := strings.Cut(line, "} ")
+		for _, kv := range strings.Split(strings.TrimPrefix(labels, "xontorank_keyword_resolutions_total{"), ",") {
+			k, val, _ := strings.Cut(kv, "=")
+			val = strings.Trim(val, `"`)
+			switch k {
+			case "source":
+				source = val
+			case "overlay":
+				overlay = val
+			}
+		}
+		if _, err := fmt.Sscanf(value, "%g", &v); err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		out[source+"/"+overlay] = v
+	}
+	if len(out) != 6 {
+		t.Fatalf("keyword resolution series = %v, want 3 sources x 2 overlay states", out)
+	}
+	return out
+}
+
+// The keyword resolution counter moves exactly with the requests sent:
+// a clean overlay answers an indexed keyword from the prebuilt index,
+// and after one ingest the same keyword bypasses it — built on demand
+// first, then served from the version-tagged keyword cache.
+func TestKeywordResolutionCounters(t *testing.T) {
+	s, _ := deltaFixture(t)
+	sys := s.System(ontoscore.StrategyRelationships)
+	if _, err := sys.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	kw := ""
+	for _, c := range []string{"patient", "problems", "medications", "procedures"} {
+		if sys.Index().List(c) != nil {
+			kw = c
+			break
+		}
+	}
+	if kw == "" {
+		t.Fatal("fixture index holds none of the candidate keywords")
+	}
+	search := func(k int) {
+		t.Helper()
+		searchResults(t, s, fmt.Sprintf("/search?q=%s&k=%d&strategy=Relationships", kw, k))
+	}
+	expect := func(label string, before map[string]float64, want map[string]float64) map[string]float64 {
+		t.Helper()
+		after := keywordResolutions(t, s)
+		for series, v := range after {
+			if d := v - before[series]; d != want[series] {
+				t.Errorf("%s: %s moved by %v, want %v", label, series, d, want[series])
+			}
+		}
+		return after
+	}
+
+	c := keywordResolutions(t, s)
+	search(5)
+	c = expect("clean query", c, map[string]float64{"index/clean": 1})
+
+	mustIngest(t, s, http.MethodPost, "zz-counter-probe", figure1ForFixture(t, s))
+	search(6) // a new k: the result cache must not answer
+	c = expect("first dirty query", c, map[string]float64{"built/dirty": 1})
+	search(7)
+	expect("repeat dirty query", c, map[string]float64{"cache/dirty": 1})
+}

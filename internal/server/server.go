@@ -201,6 +201,19 @@ func NewServing(corpus *xmltree.Corpus, coll *ontology.Collection, cfg core.Conf
 	s.reg.CounterFunc("query_merge_early_terminations_total",
 		"Merges ended early because no remaining posting could reach the top k.",
 		func() float64 { return float64(query.MergeCountersSnapshot().EarlyTerminations) })
+	for _, src := range query.KeywordSources {
+		for _, dirty := range []bool{false, true} {
+			src, dirty := src, dirty
+			overlay := "clean"
+			if dirty {
+				overlay = "dirty"
+			}
+			s.reg.CounterFunc("xontorank_keyword_resolutions_total",
+				"Keyword posting lists resolved, by source (prebuilt index, keyword cache, built on demand) and delta-overlay state (dirty: prebuilt lists bypassed).",
+				func() float64 { return float64(query.KeywordResolutions(src, dirty)) },
+				obs.Label{Key: "source", Value: src}, obs.Label{Key: "overlay", Value: overlay})
+		}
+	}
 	s.mux.HandleFunc("/search", s.handleSearch)
 	s.mux.HandleFunc("/fragment", s.handleFragment)
 	s.mux.HandleFunc("/concepts", s.handleConcepts)
